@@ -123,9 +123,8 @@ func BenchmarkE17ShardScaling(b *testing.B) {
 func BenchmarkE18TieredPlanner(b *testing.B) { runExperiment(b, "e18") }
 
 // BenchmarkE19MaintenancePlane — the async maintenance plane: group-commit
-// fsync sharing across concurrent committers, first-query latency with the
-// maintainer folding off the query path vs folding disabled, and parallel
-// WAL replay with recovered-state equality asserted inside the harness.
+// fsync sharing across concurrent committers, and parallel WAL replay with
+// recovered-state equality asserted inside the harness.
 func BenchmarkE19MaintenancePlane(b *testing.B) { runExperiment(b, "e19") }
 
 // BenchmarkAblationPruning — prover DFS with vs without early pruning.

@@ -248,7 +248,7 @@ func execute(db *hippo.DB, out io.Writer, line string) bool {
 		fmt.Fprintf(out, "deltas-applied=%d edges-added=%d edges-removed=%d combinations=%d full-rebuilds=%d pending=%d\n",
 			m.DeltasApplied, m.EdgesAdded, m.EdgesRemoved, m.Combinations,
 			m.FullRebuilds, sys.PendingDeltas())
-		fmt.Fprintf(out, "maintainer: eager-folds=%d overflows=%d\n", m.EagerFolds, m.PendingOverflows)
+		fmt.Fprintf(out, "delta-queue: overflows=%d\n", m.PendingOverflows)
 		if err := sys.MaintenanceHealth(); err != nil {
 			fmt.Fprintf(out, "maintenance-error: %v\n", err)
 		}

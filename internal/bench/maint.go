@@ -14,17 +14,15 @@ import (
 	"hippo/internal/workload"
 )
 
-// E19MaintenancePlane measures the three async-maintenance mechanisms of
+// E19MaintenancePlane measures the two async-maintenance mechanisms of
 // the write path. Part 1: group-commit fsync — the identical batch-1
 // update stream applied by 1/4/8 concurrent committers against an
 // in-memory and a fsync-on-commit logged system; concurrent committers
 // share group fsyncs (the recorded fsync count is the witness), so the
-// logged/in-memory gap must shrink as committers rise. Part 2: off-query-path delta folding — the first
-// consistent query after a write burst, with the maintainer given time to
-// fold versus folding disabled (the query then pays the drain itself).
-// Part 3: parallel WAL replay — recovery of one long multi-table WAL at 1
-// worker versus GOMAXPROCS, with the recovered hypergraph fingerprints
-// asserted identical in-harness.
+// logged/in-memory gap must shrink as committers rise. Part 2: parallel
+// WAL replay — recovery of one long multi-table WAL at 1 worker versus
+// GOMAXPROCS, with the recovered hypergraph fingerprints asserted
+// identical in-harness.
 func E19MaintenancePlane(sc Scale) (Table, error) {
 	n := sc.N
 	updates := 512
@@ -33,14 +31,12 @@ func E19MaintenancePlane(sc Scale) (Table, error) {
 	}
 	t := Table{
 		ID: "E19",
-		Title: fmt.Sprintf("Async maintenance plane: group commit, eager folding, parallel replay (n=%d, %d updates)",
+		Title: fmt.Sprintf("Async maintenance plane: group commit, parallel replay (n=%d, %d updates)",
 			n, updates),
 		Header: []string{"part", "configuration", "total ms", "throughput", "ratio"},
 		Notes: "Part 1 ratios are logged/in-memory at batch size 1 (every statement pays a durability " +
 			"barrier); group commit lets concurrent committers share one fsync, so the ratio must fall " +
-			"as committers rise. Part 2 compares the first consistent query after a write burst with " +
-			"the maintainer allowed to fold (deltas drained off the query path) vs folding disabled " +
-			"(the query drains them). Part 3 replays one long WAL sequentially and with GOMAXPROCS " +
+			"as committers rise. Part 2 replays one long WAL sequentially and with GOMAXPROCS " +
 			"workers; recovered states are asserted identical. On a single-core runner both ratios " +
 			"understate the mechanism: groups only form while a committer is parked in fsync I/O-wait " +
 			"(a near-free page-cache fsync leaves no window) and replay workers share one CPU. The " +
@@ -89,73 +85,7 @@ func E19MaintenancePlane(sc Scale) (Table, error) {
 		}
 	}
 
-	// Part 2: first query after a write burst, folded vs unfolded.
-	var foldedQ, unfoldedQ time.Duration
-	{
-		sys, cleanup, err := e14System("in-memory", n)
-		if err != nil {
-			return t, err
-		}
-		burst := workload.UpdateMix(n, updates, 91)
-		half := len(burst) / 2
-
-		// Maintainer on: burst, wait for the off-path fold, then query.
-		for _, q := range burst[:half] {
-			if _, _, err := sys.DB().Exec(q); err != nil {
-				cleanup()
-				return t, err
-			}
-		}
-		deadline := time.Now().Add(30 * time.Second)
-		for sys.PendingDeltas() > 0 {
-			if time.Now().After(deadline) {
-				cleanup()
-				return t, fmt.Errorf("e19: maintainer never drained %d pending deltas", sys.PendingDeltas())
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if sys.Maintenance().EagerFolds == 0 {
-			cleanup()
-			return t, fmt.Errorf("e19: deltas drained but the eager-fold counter is zero")
-		}
-		start := time.Now()
-		if _, _, err := sys.ConsistentQuery("SELECT * FROM emp", core.Options{}); err != nil {
-			cleanup()
-			return t, err
-		}
-		foldedQ = time.Since(start)
-
-		// Maintainer off: the same-sized burst parks in the queue and the
-		// first query pays the drain.
-		sys.SetEagerFolding(false)
-		for _, q := range burst[half:] {
-			if _, _, err := sys.DB().Exec(q); err != nil {
-				cleanup()
-				return t, err
-			}
-		}
-		pending := sys.PendingDeltas()
-		start = time.Now()
-		if _, _, err := sys.ConsistentQuery("SELECT * FROM emp", core.Options{}); err != nil {
-			cleanup()
-			return t, err
-		}
-		unfoldedQ = time.Since(start)
-		cleanup()
-		t.Rows = append(t.Rows, []string{
-			"eager folding", "maintainer folded before query (pending=0)", ms(foldedQ), "—", "1.0x",
-		})
-		ratio := "—"
-		if foldedQ > 0 {
-			ratio = fmt.Sprintf("%.2fx", float64(unfoldedQ)/float64(foldedQ))
-		}
-		t.Rows = append(t.Rows, []string{
-			"eager folding", fmt.Sprintf("folding disabled, query drains %d deltas", pending),
-			ms(unfoldedQ), "—", ratio,
-		})
-	}
-
-	// Part 3: parallel replay of one long multi-table WAL.
+	// Part 2: parallel replay of one long multi-table WAL.
 	dir, err := os.MkdirTemp("", "hippo-e19-")
 	if err != nil {
 		return t, err

@@ -16,12 +16,13 @@
 // freezes writers, folds the deltas into the hypergraph, snapshots the
 // storage (copy-on-write slabs, O(slabs)), and atomically publishes an
 // immutable query view: {storage snapshot, hypergraph snapshot, tuple
-// index, stats}. Every other query — and every query while the queue is
-// empty — runs entirely lock-free against the published view, so any
-// number of ConsistentQuery calls proceed concurrently with each other
-// and with writers. Retired views are reclaimed by epoch: a pinned
-// Snapshot keeps its view (and the slabs only it references) alive until
-// Close.
+// index, stats}. That reader is the only publisher; concurrent readers
+// that also find the view stale wait for it rather than serve an older
+// view. While the queue is empty every query runs entirely lock-free
+// against the published view, so any number of ConsistentQuery calls
+// proceed concurrently with each other and with writers. Retired views
+// are reclaimed by epoch: a pinned Snapshot keeps its view (and the slabs
+// only it references) alive until Close.
 package core
 
 import (
@@ -173,11 +174,12 @@ type MaintenanceStats struct {
 	// was released. Both stay 0 in the unsharded (K=1) configuration.
 	Migrations    int64
 	ShardReclaims int64
-	// EagerFolds counts view publications performed by the background
-	// maintainer off the query path (see maintain.go); PendingOverflows
-	// counts delta-queue overflows that discarded the queue and forced a
-	// full re-detection (see maxPendingDeltas).
-	EagerFolds       int64
+	// EagerFolds is always 0: views are published only by the reader that
+	// finds the published view stale, never in the background. The field
+	// stays so existing readers of MaintenanceStats keep compiling.
+	EagerFolds int64
+	// PendingOverflows counts delta-queue overflows that discarded the
+	// queue and forced a full re-detection (see maxPendingDeltas).
 	PendingOverflows int64
 	// Cache is the verdict cache's lifetime counters, snapshotted at the
 	// view's publication (System.CacheStats reads them live).
@@ -194,7 +196,6 @@ func (m MaintenanceStats) Sub(o MaintenanceStats) MaintenanceStats {
 		SlabsReclaimed:   m.SlabsReclaimed - o.SlabsReclaimed,
 		Migrations:       m.Migrations - o.Migrations,
 		ShardReclaims:    m.ShardReclaims - o.ShardReclaims,
-		EagerFolds:       m.EagerFolds - o.EagerFolds,
 		PendingOverflows: m.PendingOverflows - o.PendingOverflows,
 		Cache:            m.Cache.Sub(o.Cache),
 	}
@@ -247,7 +248,7 @@ type System struct {
 	// creation. K = 1 (the default) delegates every operation to a single
 	// Hypergraph and drains deltas sequentially — bit-identical to the
 	// pre-shard path; K > 1 partitions the hypergraph by connected
-	// component and drains/invalidate in parallel.
+	// component and drains in parallel.
 	shards   int
 	inc      *conflict.IncrementalDetector
 	detStats conflict.DetectStats
@@ -299,20 +300,10 @@ type System struct {
 	ckptDone  chan struct{}
 	ckptFail  atomic.Pointer[errBox]
 
-	// The background maintainer (see maintain.go) drains queued DML
-	// deltas into the hypergraph off the query path, nudged by the change
-	// feed (foldCh) and stopped by Close (foldStop/foldDone). foldOff
-	// pauses it (tests and baseline benchmarks). The counters and the
-	// parked fold error are atomics: the change-feed callbacks that tick
-	// them run under the engine write sequencer and must not take mu.
-	foldCh     chan struct{}
-	foldStop   chan struct{}
-	foldDone   chan struct{}
-	foldOff    atomic.Bool
-	eagerFolds atomic.Int64
-	overflows  atomic.Int64
-	maintFail  atomic.Pointer[errBox]
-	closeOnce  sync.Once
+	// overflows is atomic: the change-feed callbacks that tick it run
+	// under the engine write sequencer and must not take mu.
+	overflows atomic.Int64
+	closeOnce sync.Once
 }
 
 // errBox wraps an error for atomic storage.
@@ -349,13 +340,9 @@ func NewSystemShards(db *engine.DB, cs []constraint.Constraint, shards int) *Sys
 		pins:        make(map[uint64]int),
 		vcache:      verdictcache.New(0),
 		tiers:       cqaplan.NewCache(),
-		foldCh:      make(chan struct{}, 1),
-		foldStop:    make(chan struct{}),
-		foldDone:    make(chan struct{}),
 	}
 	s.stale.Store(true)
 	db.AddListener(s)
-	go s.maintainLoop()
 	return s
 }
 
@@ -373,19 +360,17 @@ func (s *System) ShardStats() []conflict.ShardInfo {
 	return s.hg.ShardStats()
 }
 
-// Close unsubscribes the system from the database's change feed, stops
-// the background maintainer, drops any queued deltas, and — for durable
-// systems — stops the automatic checkpointer (letting it take a final
-// checkpoint if one is due), detaches the commit log (stopping the
-// engine's commit worker), and seals the WAL. An automatic-checkpoint
+// Close unsubscribes the system from the database's change feed, drops
+// any queued deltas, and — for durable systems — stops the automatic
+// checkpointer (letting it take a final checkpoint if one is due),
+// detaches the commit log (stopping the engine's commit worker), and
+// seals the WAL. An automatic-checkpoint
 // failure nobody collected yet is returned here rather than dropped.
 // Close is idempotent; the system must not be queried afterwards.
 func (s *System) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
 		s.db.RemoveListener(s)
-		close(s.foldStop)
-		<-s.foldDone
 		if s.store != nil {
 			if s.ckptStop != nil {
 				close(s.ckptStop)
@@ -496,7 +481,6 @@ func (s *System) DataChanged(table string, ch storage.Change) {
 	s.qmu.Unlock()
 	s.stale.Store(true)
 	s.nudgeCheckpointer()
-	s.nudgeFolder()
 }
 
 // DataBatch queues a committed batch's coalesced change feed in one lock
@@ -520,7 +504,6 @@ func (s *System) DataBatch(changes []storage.TableChange) {
 	s.qmu.Unlock()
 	s.stale.Store(true)
 	s.nudgeCheckpointer()
-	s.nudgeFolder()
 }
 
 // SchemaChanged schedules a full re-detection: DDL changes the relation
@@ -621,7 +604,6 @@ func (s *System) Maintenance() MaintenanceStats {
 	defer s.mu.RUnlock()
 	m := s.maint
 	m.Cache = s.vcache.Stats()
-	m.EagerFolds = s.eagerFolds.Load()
 	m.PendingOverflows = s.overflows.Load()
 	return m
 }
@@ -648,32 +630,25 @@ func (s *System) PendingDeltas() int {
 
 // currentView returns a query view to serve from, publishing a fresh one
 // if the current publication is stale. The fast path — no queued work —
-// is lock-free. When a refresh is already in flight, concurrent queries
-// serve the newest published view instead of queueing behind the
-// publisher: the served state is still a consistent cut (bounded
-// staleness), and the single publisher keeps the view moving forward.
+// is lock-free. A reader that finds the view stale always takes mu and
+// refreshes: it either publishes itself or waits for the publisher ahead
+// of it and then finds that publication fresh. It never serves an older
+// view, so every caller reads its own writes.
 func (s *System) currentView() (*queryView, error) {
 	if !s.stale.Load() {
 		if v := s.view.Load(); v != nil {
 			return v, nil
 		}
 	}
-	if s.mu.TryLock() {
-		defer s.mu.Unlock()
-		return s.refreshViewLocked()
-	}
-	if v := s.view.Load(); v != nil {
-		return v, nil
-	}
-	// No view published yet (first analysis in flight): wait for it.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.refreshViewLocked()
 }
 
 // refreshViewLocked brings the analysis up to date and publishes a fresh
-// view. The caller holds mu (exclusive). If the published view is already
-// fresh (another goroutine got here first) it is returned unchanged.
+// view; it is the only place a view is published. The caller holds mu
+// (exclusive). If the published view is already fresh (another goroutine
+// got here first) it is returned unchanged.
 func (s *System) refreshViewLocked() (*queryView, error) {
 	if !s.stale.Load() {
 		if v := s.view.Load(); v != nil {
@@ -728,7 +703,7 @@ func (s *System) refreshViewLocked() (*queryView, error) {
 		for id := range log.Touched {
 			touched = append(touched, id)
 		}
-		s.advanceCacheFrozen(s.cacheInvalidationsFrozen(pending, log), touched)
+		s.vcache.Advance(s.epoch, s.cacheInvalidationsFrozen(pending, log), touched)
 	} else {
 		s.vcache.Advance(s.epoch, nil, nil)
 	}
@@ -736,7 +711,6 @@ func (s *System) refreshViewLocked() (*queryView, error) {
 	s.maint.ViewsPublished++
 	s.maint.Migrations = s.hg.Migrations()
 	s.maint.ShardReclaims = s.hg.Reclamations()
-	s.maint.EagerFolds = s.eagerFolds.Load()
 	s.maint.PendingOverflows = s.overflows.Load()
 	v := &queryView{
 		epoch:      s.epoch,
@@ -804,44 +778,6 @@ func (s *System) applyDeltasFrozen(pending []conflict.Delta) error {
 	}
 	s.maint.IncrementalStats.Add(s.inc.Stats().Sub(before))
 	return nil
-}
-
-// advanceCacheFrozen moves the verdict cache into the epoch being
-// published, dropping the entries the drain's invalidation set names. With
-// K=1 it is the single Advance call of the pre-shard publisher. With K>1
-// the touched component ids are partitioned by owning certification shard
-// and invalidated from one worker per shard concurrently (Invalidate is
-// concurrent-safe); the atom set rides with shard 0's worker, and the
-// epoch is sealed only after every worker finishes, preserving the
-// publisher's invariant that no entry with a stale dependency survives
-// into the new epoch. The caller holds mu and the engine write freeze.
-func (s *System) advanceCacheFrozen(atoms []string, touched []uint64) {
-	if s.shards <= 1 {
-		s.vcache.Advance(s.epoch, atoms, touched)
-		return
-	}
-	byShard := make([][]uint64, s.shards)
-	for _, id := range touched {
-		sh := s.hg.ShardOfComponent(id)
-		byShard[sh] = append(byShard[sh], id)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < s.shards; i++ {
-		var a []string
-		if i == 0 {
-			a = atoms
-		}
-		if len(a) == 0 && len(byShard[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(atoms []string, comps []uint64) {
-			defer wg.Done()
-			s.vcache.Invalidate(atoms, comps)
-		}(a, byShard[i])
-	}
-	wg.Wait()
-	s.vcache.SealEpoch(s.epoch)
 }
 
 // retireLocked accounts for a replaced view: reclaimed immediately when
@@ -1511,7 +1447,7 @@ func FormatStats(st *Stats) string {
 			"membership-checks=%d disjuncts=%d blocker-choices=%d engine-queries=%d\n"+
 			"hypergraph: edges=%d conflicting-tuples=%d max-degree=%d components=%d max-component=%d\n"+
 			"verdict-cache: hits=%d misses=%d entries=%d invalidated=%d\n"+
-			"maintenance: deltas=%d edges+%d edges-%d full-rebuilds=%d migrations=%d shard-reclaims=%d eager-folds=%d overflows=%d\n"+
+			"maintenance: deltas=%d edges+%d edges-%d full-rebuilds=%d migrations=%d shard-reclaims=%d overflows=%d\n"+
 			"snapshots: published=%d reclaimed=%d slabs-reclaimed=%d",
 		st.Strategy, st.Classify, st.TierFallback, reasons,
 		st.Tiers.Rewrite, st.Tiers.Hybrid, st.Tiers.Prover, st.Tiers.Fallbacks,
@@ -1527,7 +1463,7 @@ func FormatStats(st *Stats) string {
 		st.Maintenance.DeltasApplied, st.Maintenance.EdgesAdded,
 		st.Maintenance.EdgesRemoved, st.Maintenance.FullRebuilds,
 		st.Maintenance.Migrations, st.Maintenance.ShardReclaims,
-		st.Maintenance.EagerFolds, st.Maintenance.PendingOverflows,
+		st.Maintenance.PendingOverflows,
 		st.Maintenance.ViewsPublished, st.Maintenance.ViewsReclaimed,
 		st.Maintenance.SlabsReclaimed)
 }

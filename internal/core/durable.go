@@ -438,6 +438,18 @@ func (s *System) TakeCheckpointError() error {
 	return nil
 }
 
+// MaintenanceHealth reports — without consuming — a failed automatic
+// checkpoint parked for TakeCheckpointError (nil when healthy, and always
+// for in-memory systems). It is the serving tier's degradation probe
+// (/health, /v1/stats): a read-mostly deployment learns that checkpointing
+// is broken even if no write ever comes by to drain the error.
+func (s *System) MaintenanceHealth() error {
+	if b := s.ckptFail.Load(); b != nil {
+		return b.err
+	}
+	return nil
+}
+
 // liveIndexDefsFrozen captures each table's declared index column sets.
 // The caller holds the engine write freeze; table snapshots do not carry
 // index definitions (snapshots build only the full-row index on demand),

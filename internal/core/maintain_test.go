@@ -26,48 +26,8 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestMaintainEagerFoldWithoutQuery pins the off-query-path fold: after
-// writes land, the maintainer must drain the pending delta queue on its
-// own — no query issued — so the next consistent query starts from an
-// already-folded hypergraph.
-func TestMaintainEagerFoldWithoutQuery(t *testing.T) {
-	s := newSystem(t)
-	defer s.Close()
-	if _, err := s.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	base := s.Maintenance()
-	db := s.DB()
-	for i := 0; i < 5; i++ {
-		mustExec(db, fmt.Sprintf("INSERT INTO emp VALUES (%d, %d)", 10+i, 1000+i))
-	}
-	// Deliberately no query here: only the maintainer can fold.
-	waitUntil(t, "maintainer fold", func() bool {
-		m := s.Maintenance()
-		return m.EagerFolds > base.EagerFolds && s.PendingDeltas() == 0
-	})
-	m := s.Maintenance()
-	if m.DeltasApplied != base.DeltasApplied+5 {
-		t.Fatalf("folded %d deltas, want %d", m.DeltasApplied-base.DeltasApplied, 5)
-	}
-	if m.FullRebuilds != base.FullRebuilds {
-		t.Fatalf("eager fold ran a full rebuild (%d -> %d)", base.FullRebuilds, m.FullRebuilds)
-	}
-	if err := s.MaintenanceHealth(); err != nil {
-		t.Fatalf("healthy maintainer reports %v", err)
-	}
-	// The pre-folded graph serves the correct consistent answers.
-	res, _, err := s.ConsistentQuery("SELECT * FROM emp WHERE salary >= 1000", Options{Tier: TierForceProver})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("got %d consistent answers, want 5", len(res.Rows))
-	}
-}
-
 // TestMaintainPendingOverflowFullRebuild pins the delta-queue overflow
-// path: with eager folding disabled and a tiny queue cap, a write burst
+// path: with a tiny queue cap and no query to drain it, a write burst
 // must trip the overflow counter, schedule a full re-detection, and still
 // serve exactly the right consistent answers afterwards.
 func TestMaintainPendingOverflowFullRebuild(t *testing.T) {
@@ -80,7 +40,6 @@ func TestMaintainPendingOverflowFullRebuild(t *testing.T) {
 	if _, err := s.Analyze(); err != nil {
 		t.Fatal(err)
 	}
-	s.SetEagerFolding(false) // nothing drains the queue behind our back
 	base := s.Maintenance()
 	db := s.DB()
 	for i := 0; i < 2*maxPendingDeltas; i++ {
@@ -184,11 +143,11 @@ func TestMaintainHealthSurfacesCheckpointFailure(t *testing.T) {
 	}
 }
 
-// TestMaintainStressFoldersUnderRace hammers the maintenance plane from
-// every side at once — writers, consistent readers, fold-toggle flips —
-// then closes (twice: Close is idempotent) and gates on goroutine leaks.
-// Run under -race in CI.
-func TestMaintainStressFoldersUnderRace(t *testing.T) {
+// TestMaintainStressPublishUnderRace hammers view publication from both
+// sides at once — a writer and concurrent consistent readers, each of
+// which may be the one that publishes — then closes (twice: Close is
+// idempotent) and gates on goroutine leaks. Run under -race in CI.
+func TestMaintainStressPublishUnderRace(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	db := engine.New()
@@ -215,25 +174,9 @@ func TestMaintainStressFoldersUnderRace(t *testing.T) {
 			mustExec(db, fmt.Sprintf("INSERT INTO emp VALUES (%d, %d)", i, i%5))
 		}
 	}()
-	wg.Add(1)
-	go func() { // fold-toggle flipper
-		defer wg.Done()
-		on := false
-		for {
-			select {
-			case <-done:
-				s.SetEagerFolding(true)
-				return
-			default:
-			}
-			s.SetEagerFolding(on)
-			on = !on
-			time.Sleep(time.Millisecond)
-		}
-	}()
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
-		go func() { // consistent readers race the folds
+		go func() { // consistent readers race each other to publish
 			defer wg.Done()
 			for {
 				select {
@@ -250,13 +193,15 @@ func TestMaintainStressFoldersUnderRace(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Let the maintainer drain the tail, then verify and shut down.
-	waitUntil(t, "final fold", func() bool { return s.PendingDeltas() == 0 })
-	if err := s.MaintenanceHealth(); err != nil {
-		t.Fatalf("stress left maintenance degraded: %v", err)
-	}
+	// One more query drains the tail; then verify and shut down.
 	if _, _, err := s.ConsistentQuery("SELECT * FROM emp", Options{}); err != nil {
 		t.Fatal(err)
+	}
+	if n := s.PendingDeltas(); n != 0 {
+		t.Fatalf("%d deltas still pending after a query published", n)
+	}
+	if err := s.MaintenanceHealth(); err != nil {
+		t.Fatalf("stress left maintenance degraded: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

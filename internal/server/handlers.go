@@ -98,10 +98,9 @@ type statsResponse struct {
 	TierHybrid    int64 `json:"tier_hybrid"`
 	TierProver    int64 `json:"tier_prover"`
 	TierFallbacks int64 `json:"tier_fallbacks"`
-	// Maintenance plane: background view publications, delta-queue
-	// overflows, and the sticky maintenance error (empty when healthy;
-	// /health reports "degraded" while it is set).
-	EagerFolds       int64  `json:"eager_folds"`
+	// Maintenance plane: delta-queue overflows and the parked checkpoint
+	// error (empty when healthy; /health reports "degraded" while it is
+	// set).
 	PendingOverflows int64  `json:"pending_overflows,omitempty"`
 	MaintenanceError string `json:"maintenance_error,omitempty"`
 	Version          string `json:"version"`
@@ -253,8 +252,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, CodeDraining, ErrDraining)
 		return
 	}
-	// Degraded, not down: queries still serve, but background maintenance
-	// (checkpointing or folding) is failing. Without this probe a
+	// Degraded, not down: queries still serve, but background
+	// checkpointing is failing. Without this probe a
 	// read-mostly deployment would never learn — the parked error is
 	// otherwise only drained by a later write.
 	if err := s.db.System().MaintenanceHealth(); err != nil {
@@ -436,7 +435,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shards:           sys.Shards(),
 		Migrations:       m.Migrations,
 		ShardReclaims:    m.ShardReclaims,
-		EagerFolds:       m.EagerFolds,
 		PendingOverflows: m.PendingOverflows,
 		Version:          hippo.Version,
 	}

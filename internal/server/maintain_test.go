@@ -92,9 +92,6 @@ func TestMaintainDegradedHealthOverWire(t *testing.T) {
 	if msg, _ := st["maintenance_error"].(string); !strings.Contains(msg, "checkpoint directory is broken") {
 		t.Fatalf("/v1/stats maintenance_error = %q, want the parked error", msg)
 	}
-	if _, ok := st["eager_folds"]; !ok {
-		t.Fatal("/v1/stats missing eager_folds")
-	}
 
 	// Degraded, not down: queries still serve over the wire.
 	resp, err := ts.Client().Post(ts.URL+"/v1/query", "application/json",

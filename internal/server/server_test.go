@@ -403,7 +403,9 @@ func TestOverloadAdmission(t *testing.T) {
 
 	slow := make(chan error, 1)
 	go func() {
-		_, err := c.ConsistentQuery(ctx, serverGrpJoin, hclient.QueryOpts{Timeout: 2 * time.Second})
+		// Evaluating the 2.25M-row join takes 0.3-1 s on 2-core hosts, so
+		// the deadline fires while the query is still evaluating.
+		_, err := c.ConsistentQuery(ctx, serverGrpJoin, hclient.QueryOpts{Timeout: 100 * time.Millisecond})
 		slow <- err
 	}()
 	// Wait until the slow query holds the only slot.

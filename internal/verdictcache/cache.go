@@ -15,7 +15,8 @@
 // every later epoch until an Advance invalidates it, and — because
 // invalidation is monotone — also for any pinned intermediate epoch ≥ e.
 // Stores from queries still running against a superseded view are
-// rejected, so a slow reader can never poison the cache for newer views.
+// rejected, and Advance seals the new epoch before it invalidates, so a
+// slow reader can never poison the cache for newer views.
 //
 // The cache is sharded by entry key so concurrent certification workers
 // — the lock-free snapshot-serving read path — do not contend on one
@@ -101,6 +102,9 @@ type Cache struct {
 	shards      [numShards]shard
 	maxPerShard int
 	seed        maphash.Seed
+	// betweenSteps, when non-nil, runs inside Advance after the seal and
+	// before the invalidation walk (tests only).
+	betweenSteps func()
 }
 
 // New creates an empty cache bounded to maxEntries (DefaultMaxEntries
@@ -256,26 +260,28 @@ func (sh *shard) unlink(key string, e *entry) {
 // by the drained deltas, or newly drawn into a conflict) or on a touched
 // component (one whose edge set — and hence fingerprint — changed).
 // Entries depending on neither survive into the new epoch. Only the view
-// publisher calls Advance (directly, or as Invalidate + SealEpoch when a
-// sharded drain partitions the invalidation set across workers); a Store
-// racing ahead of it on a not-yet-advanced shard is safe — the stored
-// entry's dependencies are then checked when the walk reaches that shard.
+// publisher calls Advance, and it is the one place that orders the two
+// steps: seal first, invalidate second. Once a shard is sealed, a Store
+// from a reader still on an older view is rejected there; a Store that
+// landed before the seal is an ordinary entry, which the invalidation
+// walk then drops if its dependencies changed. (In the opposite order, a
+// Store at the old epoch could land on a shard the walk had already
+// passed but not yet sealed, and survive into the new epoch with a stale
+// dependency.)
 func (c *Cache) Advance(newEpoch uint64, atoms []string, comps []uint64) {
-	c.Invalidate(atoms, comps)
-	c.SealEpoch(newEpoch)
+	c.sealEpoch(newEpoch)
+	if c.betweenSteps != nil {
+		c.betweenSteps()
+	}
+	c.invalidate(atoms, comps)
 }
 
-// Invalidate drops every entry depending on one of the given atoms or
-// touched component ids, without moving the epoch. It is safe for
-// concurrent use: a component-sharded drain partitions the touched set by
-// owning certification shard and invalidates from several workers at once,
-// each walking the key-hash shards independently. Returns the number of
-// entries dropped.
-func (c *Cache) Invalidate(atoms []string, comps []uint64) int64 {
+// invalidate drops every entry depending on one of the given atoms or
+// touched component ids, without moving the epoch.
+func (c *Cache) invalidate(atoms []string, comps []uint64) {
 	if len(atoms) == 0 && len(comps) == 0 {
-		return 0
+		return
 	}
-	var dropped int64
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -295,19 +301,15 @@ func (c *Cache) Invalidate(atoms []string, comps []uint64) int64 {
 				sh.unlink(key, e)
 				delete(sh.entries, key)
 				sh.stats.Invalidated++
-				dropped++
 			}
 		}
 		sh.mu.Unlock()
 	}
-	return dropped
 }
 
-// SealEpoch moves every key shard to the freshly published epoch, after
-// which stores from superseded views are rejected. The view publisher
-// calls it once per publication, after all Invalidate work for the drain
-// has finished.
-func (c *Cache) SealEpoch(newEpoch uint64) {
+// sealEpoch moves every key shard to the freshly published epoch, after
+// which stores from superseded views are rejected.
+func (c *Cache) sealEpoch(newEpoch uint64) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()

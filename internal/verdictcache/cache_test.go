@@ -152,6 +152,28 @@ func TestFingerprintMismatchDropsEntry(t *testing.T) {
 	}
 }
 
+// TestStoreDuringAdvanceDoesNotSurvive pins the order of Advance's two
+// steps: a reader still on view e that stores a verdict while the
+// publisher is between the steps of Advance(e+1) must not leave an entry
+// that view e+1 serves. With invalidation before the seal, the store lands
+// on a shard already walked but not yet sealed and survives.
+func TestStoreDuringAdvanceDoesNotSurvive(t *testing.T) {
+	c := New(0)
+	c.Advance(1, nil, nil)
+	key := Key("q", "a")
+	c.betweenSteps = func() {
+		c.Store(key, 1, true, []string{"r|x"}, nil)
+	}
+	c.Advance(2, []string{"r|x"}, nil)
+	c.betweenSteps = nil
+	if _, ok := c.Lookup(key, 2, nil); ok {
+		t.Fatal("a store from the superseded view survived into the new epoch")
+	}
+	if n := c.Len(); n != 0 {
+		t.Fatalf("%d entries left, want 0", n)
+	}
+}
+
 func TestOverwriteRelinksDeps(t *testing.T) {
 	c := New(0)
 	key := Key("q", "a")
