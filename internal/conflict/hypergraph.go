@@ -504,6 +504,10 @@ func (s *HypergraphSnapshot) Edges() []Edge { return s.g.Edges() }
 // database snapshot it is immutable and lock-free.
 type TupleIndex struct {
 	tables map[string]storage.Relation
+	// frozen marks an index over snapshot tables: their full-row indexes
+	// are built from live rows only and never change, so Lookup can hand
+	// out the bucket itself.
+	frozen bool
 }
 
 // NewTupleIndex builds full-row indexes over the given live tables.
@@ -523,14 +527,16 @@ func NewTupleIndex(tables map[string]*storage.Table) (*TupleIndex, error) {
 // tables. Full-row indexes are built lazily on first lookup per table and
 // shared across all queries pinning the same snapshot.
 func NewSnapshotTupleIndex(tables map[string]*storage.TableSnapshot) *TupleIndex {
-	ti := &TupleIndex{tables: make(map[string]storage.Relation, len(tables))}
+	ti := &TupleIndex{tables: make(map[string]storage.Relation, len(tables)), frozen: true}
 	for name, t := range tables {
 		ti.tables[strings.ToLower(name)] = t
 	}
 	return ti
 }
 
-// Lookup returns the live RowIDs of rel holding exactly tuple t.
+// Lookup returns the live RowIDs of rel holding exactly tuple t. The
+// returned slice is read-only: over a snapshot it is the index bucket
+// itself, shared by every caller.
 func (ti *TupleIndex) Lookup(rel string, t value.Tuple) ([]storage.RowID, error) {
 	r, ok := ti.tables[strings.ToLower(rel)]
 	if !ok {
@@ -541,7 +547,11 @@ func (ti *TupleIndex) Lookup(rel string, t value.Tuple) ([]storage.RowID, error)
 		return nil, err
 	}
 	ids := r.IndexLookup(idx, t)
-	// Filter tombstones (index is maintained, but be defensive).
+	if ti.frozen {
+		return ids, nil
+	}
+	// Live tables: the bucket may change under later writes, and a row
+	// deleted since indexing must not be reported (be defensive).
 	live := make([]storage.RowID, 0, len(ids))
 	for _, id := range ids {
 		if _, ok := r.Row(id); ok {

@@ -3,12 +3,17 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"time"
 
+	"hippo/internal/conflict"
 	"hippo/internal/cqaplan"
 	"hippo/internal/engine"
 	"hippo/internal/ra"
 	"hippo/internal/rewrite"
+	"hippo/internal/schema"
+	"hippo/internal/value"
 )
 
 // TierSelect constrains the tiered answering planner's choice for one
@@ -115,9 +120,11 @@ func (s *System) tierDecision(plan ra.Node, sig string, opts Options) *cqaplan.D
 var testTierExecHook func() error
 
 // answerRewrite serves a rewrite-tier decision: the compiled plan is
-// rebound to the view's snapshot and evaluated through the cost-based
-// planner's streaming iterators. No envelope is built and no candidate is
-// certified — the plan's rows are the consistent answers.
+// rebound to the view's snapshot and physically planned, its residue
+// anti-joins become conflict probes against the same view (probeResidues),
+// and the result streams through the planner's iterators. No envelope is
+// built and no candidate is certified — the plan's rows are the
+// consistent answers.
 func (s *System) answerRewrite(ctx context.Context, v *queryView, dec *cqaplan.Decision, stats *Stats) (*engine.Result, error) {
 	if h := testTierExecHook; h != nil {
 		if err := h(); err != nil {
@@ -129,7 +136,10 @@ func (s *System) answerRewrite(ctx context.Context, v *queryView, dec *cqaplan.D
 		return nil, err
 	}
 	t0 := time.Now()
-	phys := engine.Optimize(bound)
+	phys, err := probeResidues(engine.Optimize(bound), v)
+	if err != nil {
+		return nil, err
+	}
 	stats.JoinOrder = planLeafOrder(phys)
 	stats.Streamed = true
 	es := &ra.ExecStats{}
@@ -141,6 +151,183 @@ func (s *System) answerRewrite(ctx context.Context, v *queryView, dec *cqaplan.D
 	stats.Evaluation = time.Since(t0)
 	return &engine.Result{Schema: bound.Schema(), Rows: res.Rows}, nil
 }
+
+// probeResidues replaces every chain of residue anti-joins over one base
+// relation in a physical rewrite-tier plan with a single conflictFilter on
+// the view v. The query's own scans and predicates stay as they are.
+//
+// Why the filter is exact. The classifier admits the rewrite tier only
+// under two conditions. Coverage: every constraint that mentions a scanned
+// relation R is a unary or binary denial, installed as residues on R. The
+// constraint-interaction guard: R does not mix unary and binary
+// constraints. A residue on R drops a tuple t exactly when some partner
+// tuple (t itself, for a unary denial) completes a violation with t.
+// Conflict detection adds a hyperedge for every violating combination, so
+// t fails some residue of R iff t is a vertex of some hyperedge, i.e. iff
+// InConflict(t) holds in the view's hypergraph. Coverage rules out edges on
+// R that no residue mirrors, and the guard is what makes "in no hyperedge"
+// mean "in every repair": it keeps a unary denial's dead tuple from
+// knocking out its binary partners, which would make the residues and this
+// filter over-subtract alike.
+//
+// Finding the residues. envelope.CheckQuery rejects EXISTS and IN before
+// classification, so every AntiJoin of a rewrite-tier plan is a residue.
+// The shape is still checked: each partner side must be a Scan, and the
+// chain must end at a Scan or IndexLookup under Selects. Any other shape
+// is an error, which the caller turns into the silent prover fallback.
+func probeResidues(n ra.Node, v *queryView) (ra.Node, error) {
+	switch t := n.(type) {
+	case *ra.AntiJoin:
+		base := ra.Node(t)
+		for {
+			aj, ok := base.(*ra.AntiJoin)
+			if !ok {
+				break
+			}
+			if _, ok := aj.R.(*ra.Scan); !ok {
+				return nil, fmt.Errorf("core: residue partner %s is not a base-relation scan", aj.R)
+			}
+			base = aj.L
+		}
+		rel, err := residueRelation(base)
+		if err != nil {
+			return nil, err
+		}
+		return newConflictFilter(base, rel, v), nil
+	case *ra.Scan, *ra.IndexLookup:
+		return n, nil
+	case *ra.Select:
+		c, err := probeResidues(t.Child, v)
+		if err != nil {
+			return nil, err
+		}
+		return &ra.Select{Child: c, Pred: t.Pred}, nil
+	case *ra.Project:
+		c, err := probeResidues(t.Child, v)
+		if err != nil {
+			return nil, err
+		}
+		return &ra.Project{Child: c, Exprs: t.Exprs, Names: t.Names, Distinct: t.Distinct}, nil
+	case *ra.DistinctNode:
+		c, err := probeResidues(t.Child, v)
+		if err != nil {
+			return nil, err
+		}
+		return &ra.DistinctNode{Child: c}, nil
+	case *ra.Join, *ra.Product, *ra.Diff, *ra.Intersect:
+		kids := n.Children()
+		l, err := probeResidues(kids[0], v)
+		if err != nil {
+			return nil, err
+		}
+		r, err := probeResidues(kids[1], v)
+		if err != nil {
+			return nil, err
+		}
+		switch t := n.(type) {
+		case *ra.Join:
+			return &ra.Join{L: l, R: r, Pred: t.Pred}, nil
+		case *ra.Product:
+			return &ra.Product{L: l, R: r}, nil
+		case *ra.Diff:
+			return &ra.Diff{L: l, R: r}, nil
+		default:
+			return &ra.Intersect{L: l, R: r}, nil
+		}
+	default:
+		return nil, fmt.Errorf("core: unexpected operator %s in a rewrite-tier plan", n)
+	}
+}
+
+// residueRelation follows a residue chain's input down through Selects to
+// the base-relation access it must end at, and returns that relation's
+// name as hypergraph vertices carry it.
+func residueRelation(n ra.Node) (string, error) {
+	for {
+		switch t := n.(type) {
+		case *ra.Select:
+			n = t.Child
+		case *ra.Scan:
+			return strings.ToLower(t.Table.Name()), nil
+		case *ra.IndexLookup:
+			return strings.ToLower(t.Table.Name()), nil
+		default:
+			return "", fmt.Errorf("core: residue input %s is not a base-relation access", n)
+		}
+	}
+}
+
+// conflictFilter keeps the rows of one base relation whose tuples are
+// vertices of no hyperedge in the view's conflict hypergraph. Its input
+// reads the same view's snapshot, so rows and probes describe one cut
+// under concurrent writes and at any shard count.
+type conflictFilter struct {
+	child ra.Node
+	rel   string
+	ti    *conflict.TupleIndex
+	g     conflict.Graph
+}
+
+func newConflictFilter(child ra.Node, rel string, v *queryView) *conflictFilter {
+	return &conflictFilter{child: child, rel: rel, ti: v.ti, g: v.hg.Graph()}
+}
+
+func (f *conflictFilter) Schema() schema.Schema { return f.child.Schema() }
+func (f *conflictFilter) Children() []ra.Node   { return []ra.Node{f.child} }
+func (f *conflictFilter) String() string        { return "ConflictFree(" + f.rel + ")" }
+
+// EstimateCard estimates like the anti-joins it replaces: as its input.
+func (f *conflictFilter) EstimateCard() int64 { return ra.EstimateCard(f.child) }
+
+func (f *conflictFilter) Open(ctx context.Context) (ra.Iterator, error) {
+	it, err := f.child.Open(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &conflictFilterIter{child: it, f: f}, nil
+}
+
+// conflictFree reports whether row is in no hyperedge. A row the view's
+// tuple index does not hold cannot come from the view's own snapshot; it
+// is an error rather than a guess.
+func (f *conflictFilter) conflictFree(row value.Tuple) (bool, error) {
+	ids, err := f.ti.Lookup(f.rel, row)
+	if err != nil {
+		return false, err
+	}
+	if len(ids) == 0 {
+		return false, fmt.Errorf("core: %s row %s is missing from the view's tuple index", f.rel, value.TupleString(row))
+	}
+	for _, id := range ids {
+		if f.g.InConflict(conflict.Vertex{Rel: f.rel, Row: id}) {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+type conflictFilterIter struct {
+	child ra.Iterator
+	f     *conflictFilter
+}
+
+func (it *conflictFilterIter) Next() (value.Tuple, bool, error) {
+	for {
+		row, ok, err := it.child.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		free, err := it.f.conflictFree(row)
+		if err != nil {
+			return nil, false, err
+		}
+		if free {
+			return row, true, nil
+		}
+	}
+}
+
+func (it *conflictFilterIter) Close() error { return it.child.Close() }
 
 // noteTier folds the run's final strategy into the lifetime counters and
 // snapshots them into the stats.

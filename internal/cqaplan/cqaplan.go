@@ -8,6 +8,10 @@
 //     only for self-join-free SJD plans (no UNION, single-atom negative
 //     sides) whose relations are fully covered by unary/binary denial
 //     residues, with the Koutris–Wijsen-inspired guards below.
+//     Decision.Plan is the logical reference: a self-contained plan of
+//     residue anti-joins that evaluates without a serving view. The core
+//     executes those residues as conflict-membership probes against the
+//     view's hypergraph instead of re-joining each relation.
 //   - Hybrid tier: the envelope's scans are prefiltered by whatever
 //     residues do exist, discarding candidates whose witness tuples have a
 //     binary-violation partner (such a tuple is absent from some repair,

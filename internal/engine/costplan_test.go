@@ -160,6 +160,69 @@ func TestCostPlanResultsMatchUnplanned(t *testing.T) {
 	}
 }
 
+// TestCostPlanPushesJoinFilterBelowAntiJoin: in a residue-rewritten join
+// the emp input is AntiJoin(Scan emp, Scan emp). costPlan pushes the
+// single-input range conjuncts onto that input, i.e. directly above the
+// opaque AntiJoin; the planner must carry them on into the anti-join's
+// left side so the residue probes only the rows in range.
+func TestCostPlanPushesJoinFilterBelowAntiJoin(t *testing.T) {
+	db := newEmpDB(t)
+	emp, _ := db.Table("emp")
+	dept, _ := db.Table("dept")
+	// emp: id -> salary residue over (e.*, _rw_emp.*): same id, other salary.
+	residue := &ra.AntiJoin{
+		L: &ra.Scan{Table: emp, Alias: "e"},
+		R: &ra.Scan{Table: emp, Alias: "_rw_emp"},
+		Pred: ra.Conjoin(
+			ra.Cmp{Op: ra.EQ, L: ra.Col{Index: 0}, R: ra.Col{Index: 4}},
+			ra.Cmp{Op: ra.NE, L: ra.Col{Index: 3}, R: ra.Col{Index: 7}},
+		),
+	}
+	// e.dept = d.id AND e.id >= 2 AND e.id < 4 over (e.*, d.*).
+	plan := &ra.Select{
+		Child: &ra.Product{L: residue, R: &ra.Scan{Table: dept, Alias: "d"}},
+		Pred: ra.Conjoin(
+			ra.Cmp{Op: ra.EQ, L: ra.Col{Index: 2}, R: ra.Col{Index: 4}},
+			ra.Cmp{Op: ra.GE, L: ra.Col{Index: 0}, R: ra.Const{V: value.Int(2)}},
+			ra.Cmp{Op: ra.LT, L: ra.Col{Index: 0}, R: ra.Const{V: value.Int(4)}},
+		),
+	}
+	phys := optimize(plan)
+	var anti *ra.AntiJoin
+	ra.Walk(phys, func(n ra.Node) {
+		switch m := n.(type) {
+		case *ra.AntiJoin:
+			anti = m
+		case *ra.Select:
+			if _, ok := m.Child.(*ra.AntiJoin); ok {
+				t.Errorf("a Select stayed above the AntiJoin:\n%s", ra.Format(phys))
+			}
+		}
+	})
+	if anti == nil {
+		t.Fatalf("no AntiJoin in the planned tree:\n%s", ra.Format(phys))
+	}
+	sel, ok := anti.L.(*ra.Select)
+	if !ok {
+		t.Fatalf("AntiJoin left input is %T, want the range Select:\n%s", anti.L, ra.Format(phys))
+	}
+	if _, ok := sel.Child.(*ra.Scan); !ok || len(ra.Conjuncts(sel.Pred)) != 2 {
+		t.Fatalf("AntiJoin left input = %s over %T, want both range conjuncts over the scan:\n%s",
+			sel, sel.Child, ra.Format(phys))
+	}
+	rawRows, err := ra.Materialize(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optRows, err := ra.Materialize(context.Background(), phys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(renderSorted(rawRows), "\n") != strings.Join(renderSorted(optRows), "\n") {
+		t.Fatalf("planned rows diverge:\nraw %v\nplanned %v", renderSorted(rawRows), renderSorted(optRows))
+	}
+}
+
 // opaqueNode hides its child from the estimator: EstimateCard does not
 // know the shape and returns -1, forcing the planner's deterministic
 // written-order fallback.

@@ -9,9 +9,12 @@ import (
 // optimize is the engine's full planning pipeline: semi/anti-join
 // selection pushdown, then the cost-based stage (predicate pushdown,
 // product-to-join conversion, join ordering — see costplan.go), then
-// access-path selection.
+// access-path selection. The pushdown runs again after costPlan, which
+// lands single-input join conjuncts directly above an opaque SemiJoin or
+// AntiJoin input; without the second pass a join's range filter would sit
+// above the residue and the anti-join would probe the whole relation.
 func optimize(n ra.Node) ra.Node {
-	return accessPaths(costPlan(pushMatchSelects(n)))
+	return accessPaths(pushMatchSelects(costPlan(pushMatchSelects(n))))
 }
 
 // pushMatchSelects pushes a Select through the left input of SemiJoin and
@@ -21,7 +24,9 @@ func optimize(n ra.Node) ra.Node {
 // costPlan treats SemiJoin/AntiJoin as opaque (it clones them
 // structurally), so without this pass a residue-rewritten plan
 // Select(AntiJoin(Scan, ...)) anti-joins the full relation before
-// filtering.
+// filtering. A Select landing on another Select merges into it (inner
+// conjuncts first), so access-path selection sees one predicate over the
+// scan.
 func pushMatchSelects(n ra.Node) ra.Node {
 	switch t := n.(type) {
 	case *ra.Select:
@@ -31,6 +36,8 @@ func pushMatchSelects(n ra.Node) ra.Node {
 			return &ra.SemiJoin{L: pushMatchSelects(&ra.Select{Child: m.L, Pred: t.Pred}), R: m.R, Pred: m.Pred}
 		case *ra.AntiJoin:
 			return &ra.AntiJoin{L: pushMatchSelects(&ra.Select{Child: m.L, Pred: t.Pred}), R: m.R, Pred: m.Pred}
+		case *ra.Select:
+			return &ra.Select{Child: m.Child, Pred: ra.Conjoin(m.Pred, t.Pred)}
 		}
 		return &ra.Select{Child: child, Pred: t.Pred}
 	case *ra.Project:

@@ -10,6 +10,13 @@ import "hippo/internal/storage"
 // pay off — all decisions that tolerate large estimation error as long as
 // the ordering of magnitudes is right.
 
+// CardEstimator is implemented by operators defined outside this package
+// that can estimate their own output cardinality (negative when unknown).
+// The estimator consults it for node types it does not know.
+type CardEstimator interface {
+	EstimateCard() int64
+}
+
 // EstimateCard returns the estimated output cardinality of a plan, or -1
 // when the plan contains a node shape the estimator does not know (the
 // planner then falls back deterministically to the written order).
@@ -91,6 +98,11 @@ func estimateF(n Node) float64 {
 			return float64(t.N)
 		}
 		return c
+	case CardEstimator:
+		if c := t.EstimateCard(); c >= 0 {
+			return float64(c)
+		}
+		return -1
 	default:
 		return -1
 	}
