@@ -122,6 +122,8 @@ func planFD(db *engine.DB, fd constraint.FD) (*fdPlan, error) {
 
 // detectFD finds FD violations by hash-grouping on the LHS: within each
 // LHS group, every pair of rows disagreeing on the RHS is a conflict edge.
+// It follows the denial's SQL semantics (fdViolates): a group keyed by a
+// NULL is no group, and NULL disagrees with nothing.
 func (d *Detector) detectFD(h *Hypergraph, fd constraint.FD, stats *DetectStats) error {
 	p, err := planFD(d.db, fd)
 	if err != nil {
@@ -131,15 +133,40 @@ func (d *Detector) detectFD(h *Hypergraph, fd constraint.FD, stats *DetectStats)
 		if len(ids) < 2 {
 			return nil
 		}
-		// Partition the group by RHS value; rows in different partitions
-		// conflict pairwise.
-		parts := make(map[string][]storage.RowID)
+		rows := make([]value.Tuple, 0, len(ids))
+		live := make([]storage.RowID, 0, len(ids))
+		nullRHS := false
 		for _, id := range ids {
 			row, ok := p.table.Row(id)
 			if !ok {
 				continue
 			}
-			parts[value.KeyOf(row, p.rhs)] = append(parts[value.KeyOf(row, p.rhs)], id)
+			if anyNull(row, p.lhs) {
+				return nil // every row of the group shares the NULL key
+			}
+			nullRHS = nullRHS || anyNull(row, p.rhs)
+			rows = append(rows, row)
+			live = append(live, id)
+		}
+		if nullRHS {
+			// "Disagrees" is no partition once a NULL is involved: compare
+			// every pair.
+			for i := range rows {
+				for j := i + 1; j < len(rows); j++ {
+					stats.Combinations++
+					if fdViolates(rows[i], rows[j], p.rhs) {
+						h.AddEdge([]Vertex{{Rel: p.rel, Row: live[i]}, {Rel: p.rel, Row: live[j]}}, p.label)
+					}
+				}
+			}
+			return nil
+		}
+		// Partition the group by RHS value; rows in different partitions
+		// conflict pairwise.
+		parts := make(map[string][]storage.RowID)
+		for i, row := range rows {
+			k := value.KeyOf(row, p.rhs)
+			parts[k] = append(parts[k], live[i])
 		}
 		if len(parts) < 2 {
 			return nil
@@ -160,6 +187,29 @@ func (d *Detector) detectFD(h *Hypergraph, fd constraint.FD, stats *DetectStats)
 		}
 		return nil
 	})
+}
+
+// fdViolates reports whether two rows with equal, non-NULL LHS values
+// violate the FD under its denial's SQL semantics: the condition
+// "rhs1 <> rhs1' OR …" is true only if some RHS column holds two non-NULL
+// unequal values, since a comparison with NULL is unknown.
+func fdViolates(a, b value.Tuple, rhs []int) bool {
+	for _, c := range rhs {
+		if !a[c].IsNull() && !b[c].IsNull() && value.Compare(a[c], b[c]) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// anyNull reports whether row holds NULL in any of the given columns.
+func anyNull(row value.Tuple, cols []int) bool {
+	for _, c := range cols {
+		if row[c].IsNull() {
+			return true
+		}
+	}
+	return false
 }
 
 // boundAtom is one denial atom bound to its table, with the column range it
@@ -355,6 +405,11 @@ func (p *denialProgram) enumerate(h edgeSink, stats *DetectStats, pin *pinnedRow
 		if a.index != nil {
 			key := make(value.Tuple, len(a.eqSrc))
 			for k, src := range a.eqSrc {
+				if row[src].IsNull() {
+					// The link's equality is unknown, never true: no
+					// row of this atom completes a violation.
+					return nil
+				}
 				key[k] = row[src]
 			}
 			for _, id := range a.index.Lookup(key) {

@@ -6,7 +6,6 @@ import (
 	"hippo/internal/constraint"
 	"hippo/internal/engine"
 	"hippo/internal/storage"
-	"hippo/internal/value"
 )
 
 // Delta is one DML change routed from the engine to the conflict stage: a
@@ -172,9 +171,12 @@ func runProbes(sink edgeSink, probes []probe, pin *pinnedRow, stats *DetectStats
 }
 
 // probeFD adds the FD-violation edges the pinned row introduces: every
-// live row sharing its LHS group but disagreeing on the RHS.
+// live row sharing its LHS group but disagreeing on the RHS, under the
+// same NULL semantics as detectFD.
 func probeFD(sink edgeSink, p *fdPlan, pin *pinnedRow, stats *DetectStats) {
-	rhsKey := value.KeyOf(pin.Row, p.rhs)
+	if anyNull(pin.Row, p.lhs) {
+		return
+	}
 	for _, id := range p.idx.LookupRow(pin.Row) {
 		if id == pin.ID {
 			continue
@@ -184,7 +186,7 @@ func probeFD(sink edgeSink, p *fdPlan, pin *pinnedRow, stats *DetectStats) {
 			continue
 		}
 		stats.Combinations++
-		if value.KeyOf(row, p.rhs) != rhsKey {
+		if fdViolates(pin.Row, row, p.rhs) {
 			sink.AddEdge([]Vertex{{Rel: p.rel, Row: pin.ID}, {Rel: p.rel, Row: id}}, p.label)
 		}
 	}

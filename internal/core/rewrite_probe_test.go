@@ -41,14 +41,23 @@ func probeConstraints(t *testing.T) []constraint.Constraint {
 	}
 }
 
+// randomProbeStmt draws one DML statement. About one value in six of a
+// constrained column is NULL, so the residues' three-valued comparisons
+// are exercised against the hypergraph's.
 func randomProbeStmt(rng *rand.Rand) string {
+	orNull := func(v int) string {
+		if rng.Intn(6) == 0 {
+			return "NULL"
+		}
+		return fmt.Sprint(v)
+	}
 	switch rng.Intn(8) {
 	case 0, 1, 2:
-		return fmt.Sprintf("INSERT INTO emp VALUES (%d, %d, %d)", rng.Intn(5), rng.Intn(3), 10*(1+rng.Intn(3)))
+		return fmt.Sprintf("INSERT INTO emp VALUES (%s, %d, %s)", orNull(rng.Intn(5)), rng.Intn(3), orNull(10*(1+rng.Intn(3))))
 	case 3:
-		return fmt.Sprintf("INSERT INTO dept VALUES (%d, %d)", rng.Intn(3), rng.Intn(2))
+		return fmt.Sprintf("INSERT INTO dept VALUES (%s, %s)", orNull(rng.Intn(3)), orNull(rng.Intn(2)))
 	case 4:
-		return fmt.Sprintf("INSERT INTO ban VALUES (%d, %d)", 2+rng.Intn(5), rng.Intn(2))
+		return fmt.Sprintf("INSERT INTO ban VALUES (%s, %d)", orNull(2+rng.Intn(5)), rng.Intn(2))
 	case 5:
 		return fmt.Sprintf("INSERT INTO gone VALUES (%d, %d, %d)", rng.Intn(5), rng.Intn(3), 10*(1+rng.Intn(3)))
 	case 6:
@@ -109,7 +118,8 @@ func rewriteReference(t *testing.T, s *System, sn *Snapshot, q string) []string 
 // TestRewriteTierDifferential drives randomized DML into the probe
 // instance at K=1 and K=2 and, between updates, checks every rewrite-tier
 // answer against two references: the decision's anti-join plan on the
-// same pinned snapshot (bag-equal) and the repair oracle (set-equal).
+// same pinned snapshot (bag-equal) and the repair oracle (set-equal); the
+// prover tier must match the oracle as well.
 // Every run must be served by the rewrite tier, so a silent prover
 // fallback cannot pass. Two concurrent readers on the same snapshot must
 // agree with the sequential run (run under -race in CI).
@@ -186,6 +196,15 @@ func TestRewriteTierDifferential(t *testing.T) {
 					}
 					if g, w := dedup(got), dedup(tupleStrings(want)); fmt.Sprint(g) != fmt.Sprint(w) {
 						t.Fatalf("step %d %q: answers %v != oracle %v", step, q, g, w)
+					}
+					// The prover tier reads the same hypergraph and must
+					// agree too, NULLs included.
+					pres, _, err := sys.ConsistentQueryAt(sn, q, Options{Tier: TierForceProver})
+					if err != nil {
+						t.Fatalf("step %d prover %q: %v", step, q, err)
+					}
+					if g, w := dedup(rowStrings(pres.Rows)), dedup(tupleStrings(want)); fmt.Sprint(g) != fmt.Sprint(w) {
+						t.Fatalf("step %d %q: prover tier %v != oracle %v", step, q, g, w)
 					}
 					oracleChecks++
 				}

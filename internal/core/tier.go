@@ -162,7 +162,9 @@ func (s *System) answerRewrite(ctx context.Context, v *queryView, dec *cqaplan.D
 // constraint-interaction guard: R does not mix unary and binary
 // constraints. A residue on R drops a tuple t exactly when some partner
 // tuple (t itself, for a unary denial) completes a violation with t.
-// Conflict detection adds a hyperedge for every violating combination, so
+// Conflict detection adds a hyperedge for every violating combination,
+// judged with the same three-valued comparisons the residue evaluates (a
+// NULL neither equals nor differs from anything), so
 // t fails some residue of R iff t is a vertex of some hyperedge, i.e. iff
 // InConflict(t) holds in the view's hypergraph. Coverage rules out edges on
 // R that no residue mirrors, and the guard is what makes "in no hyperedge"

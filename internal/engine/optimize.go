@@ -24,9 +24,7 @@ func optimize(n ra.Node) ra.Node {
 // costPlan treats SemiJoin/AntiJoin as opaque (it clones them
 // structurally), so without this pass a residue-rewritten plan
 // Select(AntiJoin(Scan, ...)) anti-joins the full relation before
-// filtering. A Select landing on another Select merges into it (inner
-// conjuncts first), so access-path selection sees one predicate over the
-// scan.
+// filtering.
 func pushMatchSelects(n ra.Node) ra.Node {
 	switch t := n.(type) {
 	case *ra.Select:
@@ -36,8 +34,6 @@ func pushMatchSelects(n ra.Node) ra.Node {
 			return &ra.SemiJoin{L: pushMatchSelects(&ra.Select{Child: m.L, Pred: t.Pred}), R: m.R, Pred: m.Pred}
 		case *ra.AntiJoin:
 			return &ra.AntiJoin{L: pushMatchSelects(&ra.Select{Child: m.L, Pred: t.Pred}), R: m.R, Pred: m.Pred}
-		case *ra.Select:
-			return &ra.Select{Child: m.Child, Pred: ra.Conjoin(m.Pred, t.Pred)}
 		}
 		return &ra.Select{Child: child, Pred: t.Pred}
 	case *ra.Project:

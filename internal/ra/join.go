@@ -42,13 +42,28 @@ func equiPairs(pred Expr, leftArity int) (leftCols, rightCols []int, residual Ex
 }
 
 // hashPartition builds a hash table over rows keyed by the given columns.
+// A row with a NULL key column is left out: its equality conjunct is
+// unknown, never true, so it matches nothing.
 func hashPartition(rows []value.Tuple, cols []int) map[string][]value.Tuple {
 	m := make(map[string][]value.Tuple, len(rows))
 	for _, r := range rows {
-		k := value.KeyOf(r, cols)
-		m[k] = append(m[k], r)
+		if k, ok := hashKey(r, cols); ok {
+			m[k] = append(m[k], r)
+		}
 	}
 	return m
+}
+
+// hashKey encodes a row's equi-join key; ok is false when a key column is
+// NULL, so the row can match no other row (the nested-loop path's
+// three-valued Cmp agrees).
+func hashKey(row value.Tuple, cols []int) (key string, ok bool) {
+	for _, c := range cols {
+		if row[c].IsNull() {
+			return "", false
+		}
+	}
+	return value.KeyOf(row, cols), true
 }
 
 // Join combines matching pairs of rows (⋈). Equality conjuncts between the
@@ -215,7 +230,10 @@ func (it *hashJoinIter) Next() (value.Tuple, bool, error) {
 			return nil, false, err
 		}
 		it.cur = row
-		it.matches = it.table[value.KeyOf(row, it.probeCols)]
+		it.matches = nil
+		if k, ok := hashKey(row, it.probeCols); ok {
+			it.matches = it.table[k]
+		}
 		it.mi = 0
 	}
 }
@@ -309,7 +327,10 @@ func (it *matchIter) Next() (value.Tuple, bool, error) {
 		}
 		candidates := it.right
 		if it.table != nil {
-			candidates = it.table[value.KeyOf(row, it.leftCols)]
+			candidates = nil
+			if k, ok := hashKey(row, it.leftCols); ok {
+				candidates = it.table[k]
+			}
 		}
 		matched := false
 		for _, rr := range candidates {

@@ -213,6 +213,43 @@ func TestSemiAndAntiJoin(t *testing.T) {
 	}
 }
 
+// TestHashMatchSkipsNullKeys: an equality with NULL is unknown, never
+// true, so the hash paths of Join, SemiJoin and AntiJoin must treat a
+// NULL key as matching nothing — exactly as the nested-loop path does
+// with the same predicate written so that it does not hash.
+func TestHashMatchSkipsNullKeys(t *testing.T) {
+	null := value.Null()
+	mk := func(name string, rows ...value.Tuple) *storage.Table {
+		tb := storage.NewTable(name, schema.New(
+			schema.Column{Name: "k", Type: value.KindInt}, schema.Column{Name: "v", Type: value.KindInt}))
+		for _, r := range rows {
+			if _, err := tb.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tb
+	}
+	l := mk("l", value.Tuple{value.Int(1), value.Int(1)}, value.Tuple{null, value.Int(2)}, value.Tuple{value.Int(3), value.Int(3)})
+	r := mk("r", value.Tuple{value.Int(1), value.Int(10)}, value.Tuple{null, value.Int(20)})
+	hashed := Cmp{Op: EQ, L: Col{Index: 0}, R: Col{Index: 2}}
+	nested := Not{E: Cmp{Op: NE, L: Col{Index: 0}, R: Col{Index: 2}}}
+	for _, tc := range []struct {
+		name string
+		mk   func(pred Expr) Node
+		want []string
+	}{
+		{"join", func(p Expr) Node { return &Join{L: &Scan{Table: l}, R: &Scan{Table: r}, Pred: p} }, []string{"(1, 1, 1, 10)"}},
+		{"join build left", func(p Expr) Node { return &Join{L: &Scan{Table: r}, R: &Scan{Table: l}, Pred: p} }, []string{"(1, 10, 1, 1)"}},
+		{"semi", func(p Expr) Node { return &SemiJoin{L: &Scan{Table: l}, R: &Scan{Table: r}, Pred: p} }, []string{"(1, 1)"}},
+		{"anti", func(p Expr) Node { return &AntiJoin{L: &Scan{Table: l}, R: &Scan{Table: r}, Pred: p} }, []string{"(NULL, 2)", "(3, 3)"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eqRows(t, rowsOf(t, tc.mk(hashed)), tc.want...)
+			eqRows(t, rowsOf(t, tc.mk(nested)), tc.want...)
+		})
+	}
+}
+
 func TestUnionDiffIntersect(t *testing.T) {
 	a := mkTable(t, "a", []string{"x"}, []int64{1}, []int64{2}, []int64{2})
 	b := mkTable(t, "b", []string{"x"}, []int64{2}, []int64{3})
