@@ -34,7 +34,7 @@ type Detector struct {
 func NewDetector(db *engine.DB) *Detector { return &Detector{db: db} }
 
 // Detect evaluates every constraint and returns the conflict hypergraph
-// plus a tuple index over all referenced relations.
+// plus a tuple index over every table of the database.
 func (d *Detector) Detect(constraints []constraint.Constraint) (*Hypergraph, *TupleIndex, DetectStats, error) {
 	start := time.Now()
 	h := NewHypergraph()
@@ -76,12 +76,8 @@ func (d *Detector) Detect(constraints []constraint.Constraint) (*Hypergraph, *Tu
 		}
 	}
 
-	ti, err := NewTupleIndex(tables)
-	if err != nil {
-		return nil, nil, stats, err
-	}
 	stats.Elapsed = time.Since(start)
-	return h, ti, stats, nil
+	return h, NewTupleIndex(tables), stats, nil
 }
 
 // fdPlan resolves an FD's column lists against its table and ensures the

@@ -497,68 +497,44 @@ func (s *HypergraphSnapshot) NumEdges() int { return s.g.NumEdges() }
 // Edges returns all live hyperedges of the snapshot.
 func (s *HypergraphSnapshot) Edges() []Edge { return s.g.Edges() }
 
-// TupleIndex resolves tuple values to vertices (and back), using full-row
-// hash indexes on each relation. It backs the optimized prover's
-// membership checks and maps formula atoms onto hypergraph vertices. Built
-// over live tables it reads through their locked accessors; built over a
-// database snapshot it is immutable and lock-free.
+// TupleIndex resolves tuple values to vertices (and back) through each
+// relation's full-row lookup. It backs the optimized prover's membership
+// checks and maps formula atoms onto hypergraph vertices. Over live tables
+// lookups see the current rows; over a database snapshot they see the
+// snapshot's cut. Either way the work is a probe of the table's shared row
+// index: building a TupleIndex costs nothing per row.
 type TupleIndex struct {
 	tables map[string]storage.Relation
-	// frozen marks an index over snapshot tables: their full-row indexes
-	// are built from live rows only and never change, so Lookup can hand
-	// out the bucket itself.
-	frozen bool
 }
 
-// NewTupleIndex builds full-row indexes over the given live tables.
-func NewTupleIndex(tables map[string]*storage.Table) (*TupleIndex, error) {
+// NewTupleIndex builds a tuple index over the given live tables.
+func NewTupleIndex(tables map[string]*storage.Table) *TupleIndex {
 	ti := &TupleIndex{tables: make(map[string]storage.Relation, len(tables))}
-	for name, t := range tables {
-		// Build the index eagerly so later lookups hit the fast path.
-		if _, err := t.FullRowIndex(); err != nil {
-			return nil, err
-		}
-		ti.tables[strings.ToLower(name)] = t
-	}
-	return ti, nil
-}
-
-// NewSnapshotTupleIndex builds a tuple index over a database snapshot's
-// tables. Full-row indexes are built lazily on first lookup per table and
-// shared across all queries pinning the same snapshot.
-func NewSnapshotTupleIndex(tables map[string]*storage.TableSnapshot) *TupleIndex {
-	ti := &TupleIndex{tables: make(map[string]storage.Relation, len(tables)), frozen: true}
 	for name, t := range tables {
 		ti.tables[strings.ToLower(name)] = t
 	}
 	return ti
 }
 
-// Lookup returns the live RowIDs of rel holding exactly tuple t. The
-// returned slice is read-only: over a snapshot it is the index bucket
-// itself, shared by every caller.
+// NewSnapshotTupleIndex builds a tuple index over a database snapshot's
+// tables.
+func NewSnapshotTupleIndex(tables map[string]*storage.TableSnapshot) *TupleIndex {
+	ti := &TupleIndex{tables: make(map[string]storage.Relation, len(tables))}
+	for name, t := range tables {
+		ti.tables[strings.ToLower(name)] = t
+	}
+	return ti
+}
+
+// Lookup returns the live RowIDs of rel holding exactly tuple t, in
+// ascending order. The returned slice is read-only: it may be the row
+// index bucket itself, shared by every caller.
 func (ti *TupleIndex) Lookup(rel string, t value.Tuple) ([]storage.RowID, error) {
 	r, ok := ti.tables[strings.ToLower(rel)]
 	if !ok {
 		return nil, fmt.Errorf("conflict: relation %q is not indexed", rel)
 	}
-	idx, err := r.FullRowIndex()
-	if err != nil {
-		return nil, err
-	}
-	ids := r.IndexLookup(idx, t)
-	if ti.frozen {
-		return ids, nil
-	}
-	// Live tables: the bucket may change under later writes, and a row
-	// deleted since indexing must not be reported (be defensive).
-	live := make([]storage.RowID, 0, len(ids))
-	for _, id := range ids {
-		if _, ok := r.Row(id); ok {
-			live = append(live, id)
-		}
-	}
-	return live, nil
+	return r.LookupRow(t), nil
 }
 
 // Row returns the tuple stored at a vertex.

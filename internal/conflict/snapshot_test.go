@@ -1,9 +1,11 @@
 package conflict
 
 import (
+	"slices"
 	"testing"
 
 	"hippo/internal/storage"
+	"hippo/internal/value"
 )
 
 func hv(i int) Vertex { return Vertex{Rel: "t", Row: storage.RowID(i)} }
@@ -66,5 +68,43 @@ func TestHypergraphCloneIsCOW(t *testing.T) {
 	}
 	if c.NumEdges() != 0 {
 		t.Fatalf("clone edges=%d, want 0", c.NumEdges())
+	}
+}
+
+// Tuple indexes over successive snapshots and over the live tables share
+// one row index per table, yet each resolves its own cut: duplicates come
+// back as ascending RowIDs and a row deleted later stays visible to the
+// older snapshot only.
+func TestTupleIndexLookupRowAcrossVersions(t *testing.T) {
+	db := newDB(t)
+	_, live, _ := detect(t, db, fdSalary())
+	ann := value.Tuple{value.Int(1), value.Text("ann"), value.Int(100)}
+	bob := value.Tuple{value.Int(2), value.Text("bob"), value.Int(150)}
+	old := NewSnapshotTupleIndex(db.Snapshot().Tables())
+	if ids, _ := old.Lookup("emp", ann); !slices.Equal(ids, []storage.RowID{0}) {
+		t.Fatalf("old ann = %v", ids)
+	}
+	mustExec(db, "INSERT INTO emp VALUES (1, 'ann', 100), (1, 'ann', 100)")
+	mustExec(db, "DELETE FROM emp WHERE id = 2")
+	cur := NewSnapshotTupleIndex(db.Snapshot().Tables())
+	annF := value.Tuple{value.Float(1), value.Text("ann"), value.Float(100)}
+	for _, c := range []struct {
+		label string
+		ti    *TupleIndex
+		probe value.Tuple
+		want  []storage.RowID
+	}{
+		{"old ann", old, ann, []storage.RowID{0}},
+		{"old bob", old, bob, []storage.RowID{2}},
+		{"current ann", cur, ann, []storage.RowID{0, 6, 7}},
+		{"current ann as floats", cur, annF, []storage.RowID{0, 6, 7}},
+		{"current bob", cur, bob, nil},
+		{"live ann", live, ann, []storage.RowID{0, 6, 7}},
+		{"live bob", live, bob, nil},
+	} {
+		ids, err := c.ti.Lookup("EMP", c.probe)
+		if err != nil || !slices.Equal(ids, c.want) {
+			t.Fatalf("%s: Lookup = %v, %v; want %v", c.label, ids, err, c.want)
+		}
 	}
 }

@@ -451,9 +451,10 @@ func (s *System) MaintenanceHealth() error {
 }
 
 // liveIndexDefsFrozen captures each table's declared index column sets.
-// The caller holds the engine write freeze; table snapshots do not carry
-// index definitions (snapshots build only the full-row index on demand),
-// so these are read from the live tables at the same cut.
+// The caller holds the engine write freeze; table snapshots own no
+// indexes (their full-row lookups probe the live table's row index, which
+// is not declared and never checkpointed), so these are read from the
+// live tables at the same cut.
 func liveIndexDefsFrozen(db *engine.DB, names []string) map[string][][]int {
 	defs := make(map[string][][]int, len(names))
 	for _, name := range names {

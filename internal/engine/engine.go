@@ -506,7 +506,7 @@ const cancelCheckRows = 256
 
 // execDeleteFrozen applies a DELETE while the caller holds the write
 // sequencer; see execInsertFrozen for the feed and cancellation contract
-// (the predicate scan aborts on a cancelled ctx before any row is
+// (the predicate pass aborts on a cancelled ctx before any row is
 // deleted; the delete loop aborts between rows).
 func (db *DB) execDeleteFrozen(ctx context.Context, s *sqlparse.Delete, feed *[]storage.TableChange) (int, error) {
 	t, err := db.Table(s.Table)
@@ -520,28 +520,7 @@ func (db *DB) execDeleteFrozen(ctx context.Context, s *sqlparse.Delete, feed *[]
 			return 0, err
 		}
 	}
-	var doomed []storage.RowID
-	scanned := 0
-	err = t.Scan(func(id storage.RowID, row value.Tuple) error {
-		if scanned%cancelCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		scanned++
-		if pred == nil {
-			doomed = append(doomed, id)
-			return nil
-		}
-		pass, err := ra.EvalPredicate(pred, row)
-		if err != nil {
-			return err
-		}
-		if pass {
-			doomed = append(doomed, id)
-		}
-		return nil
-	})
+	doomed, err := deleteTargets(ctx, t, pred)
 	if err != nil {
 		return 0, err
 	}
@@ -564,6 +543,56 @@ func (db *DB) execDeleteFrozen(ctx context.Context, s *sqlparse.Delete, feed *[]
 		}
 	}
 	return len(doomed), nil
+}
+
+// deleteTargets returns the ascending RowIDs of t's live rows that pred
+// accepts (all of them for a nil pred). When pred's constant equalities
+// pin the columns of an existing index it walks that index bucket instead
+// of the table; either way pred is evaluated in full on every candidate.
+func deleteTargets(ctx context.Context, t *storage.Table, pred ra.Expr) ([]storage.RowID, error) {
+	var doomed []storage.RowID
+	checked := 0
+	visit := func(id storage.RowID, row value.Tuple) error {
+		if checked%cancelCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		checked++
+		if pred == nil {
+			doomed = append(doomed, id)
+			return nil
+		}
+		pass, err := ra.EvalPredicate(pred, row)
+		if err != nil {
+			return err
+		}
+		if pass {
+			doomed = append(doomed, id)
+		}
+		return nil
+	}
+	ch, ok := chooseIndex(t, pred)
+	if !ok {
+		if err := t.Scan(visit); err != nil {
+			return nil, err
+		}
+		return doomed, nil
+	}
+	// A live bucket is in insertion order only until a resurrect appends
+	// an older id; sort so the change feed and the log see scan order.
+	ids := t.IndexLookup(ch.idx, ch.key)
+	slices.Sort(ids)
+	for _, id := range ids {
+		row, live := t.Row(id)
+		if !live {
+			continue
+		}
+		if err := visit(id, row); err != nil {
+			return nil, err
+		}
+	}
+	return doomed, nil
 }
 
 // BatchError reports which statement stopped a batch; the batch was rolled

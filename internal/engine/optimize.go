@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"hippo/internal/ra"
 	"hippo/internal/storage"
 	"hippo/internal/value"
@@ -115,12 +117,47 @@ func accessPaths(n ra.Node) ra.Node {
 // tryIndexLookup finds the widest existing index whose columns are all
 // constrained by constant equality conjuncts of pred.
 func tryIndexLookup(scan *ra.Scan, pred ra.Expr) (ra.Node, bool) {
-	// Collect col = const (or const = col) conjuncts.
+	ch, ok := chooseIndex(scan.Table, pred)
+	if !ok {
+		return nil, false
+	}
+	key := make([]ra.Expr, len(ch.key))
+	for i, v := range ch.key {
+		key[i] = ra.Const{V: v}
+	}
+	var node ra.Node = &ra.IndexLookup{
+		Table: scan.Table,
+		Index: ch.idx,
+		Key:   key,
+		Alias: scan.Alias,
+	}
+	if p := ra.Conjoin(ch.residual...); p != nil {
+		node = &ra.Select{Child: node, Pred: p}
+	}
+	return node, true
+}
+
+// indexChoice is an access path for a predicate: an existing index, the
+// key its covered equalities pin (in index column order), and the
+// conjuncts the index does not absorb.
+type indexChoice struct {
+	idx      *storage.Index
+	key      value.Tuple
+	residual []ra.Expr
+}
+
+// chooseIndex picks the widest existing index of rel whose columns are all
+// pinned by constant equality conjuncts of pred. An index bucket holds
+// exactly the rows the equalities accept only when key equality agrees
+// with the comparison operator; a constant for which it may not (see
+// keyExact) is left to the residual filter.
+func chooseIndex(rel storage.Relation, pred ra.Expr) (indexChoice, bool) {
+	cols := rel.Schema().Columns
 	constsByCol := map[int]value.Value{}
 	var residual []ra.Expr
 	for _, c := range ra.Conjuncts(pred) {
 		if cmp, ok := c.(ra.Cmp); ok && cmp.Op == ra.EQ {
-			if col, cv, ok := colConstPair(cmp); ok {
+			if col, cv, ok := colConstPair(cmp); ok && keyExact(cv, cols[col].Type) {
 				if prev, seen := constsByCol[col]; !seen {
 					constsByCol[col] = cv
 					continue
@@ -133,32 +170,28 @@ func tryIndexLookup(scan *ra.Scan, pred ra.Expr) (ra.Node, bool) {
 		residual = append(residual, c)
 	}
 	if len(constsByCol) == 0 {
-		return nil, false
+		return indexChoice{}, false
 	}
-	var best *indexChoice
-	for _, idx := range scan.Table.Indexes() {
-		cols := idx.Columns()
+	var best *storage.Index
+	for _, idx := range rel.Indexes() {
 		covered := true
-		for _, c := range cols {
+		for _, c := range idx.Columns() {
 			if _, ok := constsByCol[c]; !ok {
 				covered = false
 				break
 			}
 		}
-		if !covered {
-			continue
-		}
-		if best == nil || len(cols) > len(best.cols) {
-			best = &indexChoice{idx: idx, cols: cols}
+		if covered && (best == nil || len(idx.Columns()) > len(best.Columns())) {
+			best = idx
 		}
 	}
 	if best == nil {
-		return nil, false
+		return indexChoice{}, false
 	}
-	key := make([]ra.Expr, len(best.cols))
+	key := make(value.Tuple, len(best.Columns()))
 	used := map[int]bool{}
-	for i, c := range best.cols {
-		key[i] = ra.Const{V: constsByCol[c]}
+	for i, c := range best.Columns() {
+		key[i] = constsByCol[c]
 		used[c] = true
 	}
 	// Equality conjuncts not absorbed by the index stay as residual filters.
@@ -167,21 +200,25 @@ func tryIndexLookup(scan *ra.Scan, pred ra.Expr) (ra.Node, bool) {
 			residual = append(residual, ra.Cmp{Op: ra.EQ, L: ra.Col{Index: col}, R: ra.Const{V: cv}})
 		}
 	}
-	var node ra.Node = &ra.IndexLookup{
-		Table: scan.Table,
-		Index: best.idx,
-		Key:   key,
-		Alias: scan.Alias,
-	}
-	if p := ra.Conjoin(residual...); p != nil {
-		node = &ra.Select{Child: node, Pred: p}
-	}
-	return node, true
+	return indexChoice{idx: best, key: key, residual: residual}, true
 }
 
-type indexChoice struct {
-	idx  *storage.Index
-	cols []int
+// keyExact reports whether, against a column of kind col, c = x holds
+// exactly when c and x have the same value.Key. Otherwise an index probe
+// could disagree with evaluating the predicate: an incomparable constant
+// makes the comparison an error rather than no match, a NaN compares
+// equal to every number, and INT/FLOAT comparison rounds through float64,
+// which conflates distinct integers beyond 2^53.
+func keyExact(c value.Value, col value.Kind) bool {
+	switch {
+	case !value.Comparable(c.K, col):
+		return false
+	case c.K == value.KindFloat && math.IsNaN(c.F):
+		return false
+	case c.K != col:
+		return math.Abs(c.AsFloat()) < 1<<53
+	}
+	return true
 }
 
 // colConstPair extracts (column index, constant) from an equality.

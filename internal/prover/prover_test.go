@@ -230,10 +230,7 @@ func TestNaiveMembershipNullColumns(t *testing.T) {
 	// membership over an explicitly indexed relation instead.
 	_ = h
 	_ = ti
-	ti2, err := conflict.NewTupleIndex(map[string]*storage.Table{"n": mustTable(t, db, "n")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ti2 := conflict.NewTupleIndex(map[string]*storage.Table{"n": mustTable(t, db, "n")})
 	m := NaiveMembership{DB: db, TI: ti2}
 	ids, err := m.Lookup("n", value.Tuple{value.Int(1), value.Null()})
 	if err != nil || len(ids) != 1 {

@@ -58,7 +58,7 @@ func (n *IndexLookup) Open(ctx context.Context) (Iterator, error) {
 		key[i] = v
 	}
 	// Resolve through the relation so a live table can synchronize the
-	// bucket read against concurrent writers (snapshots read directly).
+	// bucket read against concurrent writers.
 	ids := n.Table.IndexLookup(n.Index, key)
 	rows := make([]value.Tuple, 0, len(ids))
 	for _, id := range ids {

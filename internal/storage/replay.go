@@ -42,6 +42,7 @@ func (t *Table) ReplayInsert(id RowID, row value.Tuple) error {
 	for _, idx := range t.indexes {
 		idx.add(row, id)
 	}
+	t.indexRowLocked(row, id)
 	return nil
 }
 

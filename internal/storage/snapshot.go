@@ -14,6 +14,7 @@ import (
 // it exactly like a live table — but without any locking, because nothing
 // ever mutates it (writers clone sealed slabs instead).
 type TableSnapshot struct {
+	table   *Table // source of the shared row index
 	name    string
 	schema  schema.Schema
 	slabs   []*slab
@@ -21,15 +22,9 @@ type TableSnapshot struct {
 	live    int
 	version uint64
 
-	// fullIdx is the full-row hash index over the snapshot, built lazily
-	// by the first membership lookup and immutable afterwards. Snapshots
-	// of an unchanged table are shared, so the build cost is paid at most
-	// once per table version.
-	idxOnce sync.Once
-	fullIdx atomic.Pointer[Index]
-
-	// stats holds the planner's cardinality estimates, built lazily like
-	// fullIdx and likewise paid at most once per table version.
+	// stats holds the planner's cardinality estimates, built lazily and
+	// shared by every reader of this table version, so the sampling cost
+	// is paid at most once per version.
 	statsOnce sync.Once
 	stats     atomic.Pointer[TableStats]
 }
@@ -132,32 +127,10 @@ func (s *TableSnapshot) Stats() TableStats {
 	return *s.stats.Load()
 }
 
-// FullRowIndex returns the full-row hash index over the snapshot, building
-// it on first use (safe for concurrent callers).
-func (s *TableSnapshot) FullRowIndex() (*Index, error) {
-	s.idxOnce.Do(func() {
-		idx := newIndex(fullRowCols(s.schema.Len()))
-		s.Scan(func(id RowID, row value.Tuple) error {
-			idx.add(row, id)
-			return nil
-		})
-		s.fullIdx.Store(idx)
-	})
-	return s.fullIdx.Load(), nil
-}
+// Indexes returns nil: a snapshot owns no indexes, so plans over it scan.
+// Full-row membership goes through LookupRow instead.
+func (s *TableSnapshot) Indexes() []*Index { return nil }
 
-// Indexes returns the snapshot's already-built indexes. Indexes are never
-// built speculatively for access-path selection, so this is the full-row
-// index at most.
-func (s *TableSnapshot) Indexes() []*Index {
-	if idx := s.fullIdx.Load(); idx != nil {
-		return []*Index{idx}
-	}
-	return nil
-}
-
-// IndexLookup resolves key in ix. Snapshot indexes are immutable, so the
-// bucket slice is returned directly.
-func (s *TableSnapshot) IndexLookup(ix *Index, key value.Tuple) []RowID {
-	return ix.Lookup(key)
-}
+// IndexLookup returns nil: a snapshot owns no indexes (see Indexes), so no
+// index can name its rows.
+func (s *TableSnapshot) IndexLookup(*Index, value.Tuple) []RowID { return nil }

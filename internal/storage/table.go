@@ -17,6 +17,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hippo/internal/schema"
 	"hippo/internal/value"
@@ -133,15 +134,16 @@ type Relation interface {
 	Rows() []value.Tuple
 	// Scan calls fn for every live row in RowID order.
 	Scan(fn func(id RowID, row value.Tuple) error) error
-	// Indexes returns the indexes available for access-path selection.
+	// Indexes returns the indexes available for access-path selection
+	// (none for a snapshot).
 	Indexes() []*Index
-	// IndexLookup resolves key in ix consistently with this relation's
-	// synchronization (locked copy for live tables, direct access for
-	// snapshots). The returned slice must not be mutated.
+	// IndexLookup resolves key in ix, one of Indexes(), under this
+	// relation's synchronization. The returned slice must not be mutated.
 	IndexLookup(ix *Index, key value.Tuple) []RowID
-	// FullRowIndex returns a hash index over the entire row, building it
-	// on first use. It backs tuple-membership checks.
-	FullRowIndex() (*Index, error)
+	// LookupRow returns the live RowIDs holding exactly the given full
+	// row (under value.Key equality), ascending. It backs tuple-membership
+	// checks. The returned slice must not be mutated.
+	LookupRow(row value.Tuple) []RowID
 	// Cursor returns a streaming iterator over all live rows in RowID
 	// order. Live tables serve it from their cached snapshot, so an
 	// in-flight cursor observes a consistent cut even while writers
@@ -209,6 +211,10 @@ type Table struct {
 	snap      *TableSnapshot
 	indexes   map[string]*Index
 	observers []func(Change)
+	// rowIdx is the full-row hash index, built by the first LookupRow
+	// (on the table or any snapshot of it) and extended by every insert
+	// after that. Snapshots share it; see rowindex.go.
+	rowIdx atomic.Pointer[rowIndex]
 }
 
 // NewTable creates an empty table with the given name and schema. Column
@@ -338,6 +344,7 @@ func (t *Table) insert(row value.Tuple) (RowID, Change, []func(Change), error) {
 	for _, idx := range t.indexes {
 		idx.add(stored, id)
 	}
+	t.indexRowLocked(stored, id)
 	obs := t.observers
 	t.mu.Unlock()
 	return id, Change{Kind: ChangeInsert, Row: id, Tuple: stored}, obs, nil
@@ -492,6 +499,7 @@ func (t *Table) Snapshot() *TableSnapshot {
 		s.sealed = true
 	}
 	t.snap = &TableSnapshot{
+		table:   t,
 		name:    t.name,
 		schema:  t.schema,
 		slabs:   slices.Clone(t.slabs),
@@ -559,18 +567,6 @@ func (t *Table) EnsureIndex(cols []int) (*Index, error) {
 	return idx, nil
 }
 
-// FullRowIndex returns the index over all columns, building it on first
-// use.
-func (t *Table) FullRowIndex() (*Index, error) {
-	t.mu.RLock()
-	idx, ok := t.indexes[indexKey(fullRowCols(t.schema.Len()))]
-	t.mu.RUnlock()
-	if ok {
-		return idx, nil
-	}
-	return t.EnsureIndex(nil)
-}
-
 // IndexLookup returns the RowIDs whose indexed columns equal key,
 // synchronized against concurrent writers. The returned slice is a copy
 // and stays valid after the call.
@@ -581,10 +577,10 @@ func (t *Table) IndexLookup(ix *Index, key value.Tuple) []RowID {
 }
 
 // Index is a hash index over a subset of a table's columns, mapping the
-// encoded key of the indexed columns to the RowIDs holding it. A live
-// table's indexes are mutated in place by writers; read them through the
-// table's locked accessors (or under external synchronization). Snapshot
-// indexes are immutable and safe to read directly.
+// encoded key of the indexed columns to the RowIDs holding it. Only live
+// tables own indexes; writers mutate them in place, so read them through
+// the table's locked accessors (or under external synchronization).
+// Snapshots own none: full-row membership goes through LookupRow.
 type Index struct {
 	cols    []int
 	buckets map[string][]RowID

@@ -2,6 +2,7 @@ package value
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"strings"
 )
@@ -73,43 +74,102 @@ func KeyOf(t Tuple, cols []int) string {
 }
 
 func appendValueKey(b *strings.Builder, v Value) {
-	var buf [9]byte
-	switch v.K {
-	case KindNull:
+	tag, w := keyWord(v)
+	switch tag {
+	case 'n':
 		b.WriteByte('n')
-	case KindInt:
-		// Encode ints as floats when they are exactly representable so that
-		// Int(1) and Float(1) share a key, mirroring Compare. Large ints
-		// that would lose precision keep a distinct integer encoding.
-		f := float64(v.I)
-		if int64(f) == v.I {
-			buf[0] = 'f'
-			binary.BigEndian.PutUint64(buf[1:], math.Float64bits(f))
-		} else {
-			buf[0] = 'i'
-			binary.BigEndian.PutUint64(buf[1:], uint64(v.I))
-		}
-		b.Write(buf[:])
-	case KindFloat:
-		f := v.F
-		if f == 0 {
-			f = 0 // normalize -0.0 so it shares a key with +0.0
-		}
-		buf[0] = 'f'
-		binary.BigEndian.PutUint64(buf[1:], math.Float64bits(f))
-		b.Write(buf[:])
-	case KindText:
-		b.WriteByte('t')
-		binary.BigEndian.PutUint64(buf[1:], uint64(len(v.S)))
-		b.Write(buf[1:])
-		b.WriteString(v.S)
-	case KindBool:
-		if v.B {
+	case 'b':
+		if w == 1 {
 			b.WriteString("b1")
 		} else {
 			b.WriteString("b0")
 		}
+	default:
+		var buf [9]byte
+		buf[0] = tag
+		binary.BigEndian.PutUint64(buf[1:], w)
+		b.Write(buf[:])
+		if tag == 't' {
+			b.WriteString(v.S)
+		}
 	}
+}
+
+// keyWord returns the canonical form v's key is encoded from: a tag
+// ('n', 'i', 'f', 't' or 'b') and one word (the integer, the float bits,
+// the text length, or the bool). A text's bytes follow the word. Ints are
+// encoded as floats when they are exactly representable, so Int(1) and
+// Float(1) share a key, mirroring Compare; large ints that would lose
+// precision keep a distinct integer encoding. -0.0 is normalized so it
+// shares a key with +0.0.
+func keyWord(v Value) (tag byte, w uint64) {
+	switch v.K {
+	case KindInt:
+		if f := float64(v.I); int64(f) == v.I {
+			return 'f', math.Float64bits(f)
+		}
+		return 'i', uint64(v.I)
+	case KindFloat:
+		f := v.F
+		if f == 0 {
+			f = 0
+		}
+		return 'f', math.Float64bits(f)
+	case KindText:
+		return 't', uint64(len(v.S))
+	case KindBool:
+		if v.B {
+			return 'b', 1
+		}
+		return 'b', 0
+	default:
+		return 'n', 0
+	}
+}
+
+// SameKey reports whether a.Key() == b.Key() without building either
+// string.
+func SameKey(a, b Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		ta, wa := keyWord(a[i])
+		tb, wb := keyWord(b[i])
+		if ta != tb || wa != wb || (ta == 't' && a[i].S != b[i].S) {
+			return false
+		}
+	}
+	return true
+}
+
+// textSeed seeds the hash of text values. Hashes never leave the process,
+// so a per-process seed is enough.
+var textSeed = maphash.MakeSeed()
+
+// HashTuple hashes t consistently with Key: tuples with equal keys hash
+// equally. It builds no string; unequal keys may collide, so a hash match
+// must be confirmed with SameKey.
+func HashTuple(t Tuple) uint64 {
+	h := uint64(len(t))
+	for _, v := range t {
+		tag, w := keyWord(v)
+		if tag == 't' {
+			w = maphash.String(textSeed, v.S)
+		}
+		h = mix64(mix64(h^uint64(tag)) ^ w)
+	}
+	return h
+}
+
+// mix64 is the MurmurHash3 64-bit finalizer.
+func mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // Concat returns the concatenation of a and b as a fresh tuple.
