@@ -5,8 +5,6 @@
 //	go test -bench=. -benchmem
 //
 // For the full paper-scale sweep with Markdown tables, use cmd/hippobench.
-// External test package: internal/bench's E16 harness imports the root
-// hippo package, so an in-package test file would form an import cycle.
 package hippo_test
 
 import (
@@ -68,64 +66,6 @@ func BenchmarkE8ConflictDetection(b *testing.B) { runExperiment(b, "e8") }
 
 // BenchmarkE9Overhead — Hippo/SQL overhead ratios.
 func BenchmarkE9Overhead(b *testing.B) { runExperiment(b, "e9") }
-
-// BenchmarkE10Incremental — incremental vs full-rebuild hypergraph
-// maintenance under an update-interleaved workload.
-func BenchmarkE10Incremental(b *testing.B) { runExperiment(b, "e10") }
-
-// BenchmarkE11Concurrent — snapshot-isolated concurrent serving vs the
-// locked baseline (readers x writers sweep).
-func BenchmarkE11Concurrent(b *testing.B) { runExperiment(b, "e11") }
-
-// BenchmarkE12VerdictCache — hot queries + localized updates: the
-// component-scoped verdict cache vs full re-certification.
-func BenchmarkE12VerdictCache(b *testing.B) { runExperiment(b, "e12") }
-
-// BenchmarkE13BatchPipeline — group-commit batch write pipeline: update
-// throughput vs batch size.
-func BenchmarkE13BatchPipeline(b *testing.B) { runExperiment(b, "e13") }
-
-// BenchmarkE14DurableWrites — WAL-logged vs in-memory write throughput
-// and recovery time vs WAL length.
-func BenchmarkE14DurableWrites(b *testing.B) { runExperiment(b, "e14") }
-
-// BenchmarkE15StreamingEval — streaming iterator engine + cost-based
-// planner vs the materialized pre-planner baseline (allocations via
-// -benchmem reflect both paths; the E15 table itself reports the split).
-func BenchmarkE15StreamingEval(b *testing.B) { runExperiment(b, "e15") }
-
-// BenchmarkE16ServerTier — the hippod HTTP serving tier: concurrent
-// connection sweep, 50ms-deadline enforcement on both evaluation paths,
-// and a mid-flight drain with a goroutine-leak count.
-func BenchmarkE16ServerTier(b *testing.B) { runExperiment(b, "e16") }
-
-// BenchmarkE17ShardScaling — component-sharded certification (K=4) vs
-// unsharded (K=1) under a GOMAXPROCS sweep, with sharded-vs-unsharded
-// answer equality asserted inside the harness. The wrapper restricts the
-// sweep to GOMAXPROCS=1 so -benchtime=1x stays fast; the full 1/2/4/8
-// sweep runs via cmd/hippobench -exp e17 (see scripts/benchguard.sh).
-func BenchmarkE17ShardScaling(b *testing.B) {
-	sc := benchScale()
-	sc.Procs = []int{1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Run("e17", sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE18TieredPlanner — the tiered planner's compiled-rewrite fast
-// path vs the forced prover tier on the key-constraint hot query, with
-// answer-set equality and the zero-certification invariant asserted
-// inside the harness, plus the classification overhead an ineligible
-// UNION query pays.
-func BenchmarkE18TieredPlanner(b *testing.B) { runExperiment(b, "e18") }
-
-// BenchmarkE19MaintenancePlane — the async maintenance plane: group-commit
-// fsync sharing across concurrent committers, and parallel WAL replay with
-// recovered-state equality asserted inside the harness.
-func BenchmarkE19MaintenancePlane(b *testing.B) { runExperiment(b, "e19") }
 
 // BenchmarkAblationPruning — prover DFS with vs without early pruning.
 func BenchmarkAblationPruning(b *testing.B) { runExperiment(b, "ablation-pruning") }

@@ -100,12 +100,6 @@ type Options struct {
 	// layout is derived state, never persisted: a durable directory can be
 	// reopened with any K. Capped at core.MaxShards.
 	CertShards int
-	// ReplayWorkers caps the workers recovery uses to replay the WAL's
-	// committed batches in parallel (per-table commit order preserved;
-	// identical recovered state for every count). 0 defers to the
-	// HIPPO_REPLAY_WORKERS environment variable, then GOMAXPROCS; 1
-	// forces sequential replay. In-memory mode ignores it.
-	ReplayWorkers int
 	// WrapSyncer, when set, wraps every file the durable store opens for
 	// writing — a fault-injection hook for crash and degraded-maintenance
 	// testing (see wal.Options.WrapSyncer). Leave nil in production.
@@ -125,7 +119,6 @@ func OpenOptions(o Options) (*DB, error) {
 		NoSync:          o.NoSync,
 		CheckpointBytes: o.CheckpointBytes,
 		Shards:          o.CertShards,
-		ReplayWorkers:   o.ReplayWorkers,
 		WrapSyncer:      o.WrapSyncer,
 	})
 	if err != nil {
@@ -337,27 +330,10 @@ func WithoutPruning() Option {
 }
 
 // WithoutVerdictCache bypasses the component-scoped verdict cache: every
-// candidate is re-certified from scratch (the E12 baseline).
+// candidate is re-certified from scratch (the cold-certification
+// baseline).
 func WithoutVerdictCache() Option {
 	return func(o *core.Options) { o.DisableVerdictCache = true }
-}
-
-// WithMaterializedEvaluation opts out of the streaming operator engine
-// and cost-based planner: the envelope is fully evaluated in the written
-// join order (access-path selection only) before certification begins.
-// Answers are identical either way (pinned by differential tests); the
-// knob exists as the E15 baseline and as an escape hatch should a plan
-// regress.
-func WithMaterializedEvaluation() Option {
-	return func(o *core.Options) { o.Materialized = true }
-}
-
-// WithGlobalCertification disables the prover's component decomposition,
-// running one blocking-edge search over all negative atoms jointly — the
-// pre-decomposition architecture, kept for ablations and differential
-// testing. Implies an uncached run.
-func WithGlobalCertification() Option {
-	return func(o *core.Options) { o.GlobalCertification = true }
 }
 
 // WithProverTier pins this query to the prover (certification) tier,
@@ -399,9 +375,8 @@ func (db *DB) ConsistentQuery(sql string, opts ...Option) (*Result, *Stats, erro
 
 // ConsistentQueryContext is ConsistentQuery honoring ctx: cancellation or
 // an expired deadline aborts the run — envelope evaluation stops within a
-// bounded number of rows and certification stops between candidates — on
-// both the streaming pipeline and the materialized baseline
-// (WithMaterializedEvaluation), returning the context's error.
+// bounded number of rows and certification stops between candidates —
+// returning the context's error.
 func (db *DB) ConsistentQueryContext(ctx context.Context, sql string, opts ...Option) (*Result, *Stats, error) {
 	var o core.Options
 	for _, f := range opts {

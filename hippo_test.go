@@ -148,15 +148,16 @@ func TestOptions(t *testing.T) {
 	if stNoPrune.Answers != 2 {
 		t.Errorf("pruning off changed answers: %+v", stNoPrune)
 	}
-	_, stMat, err := db.ConsistentQuery("SELECT * FROM emp", WithMaterializedEvaluation())
+	_, stCold, err := db.ConsistentQuery("SELECT * FROM emp", WithProverTier(), WithoutVerdictCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stMat.Streamed {
-		t.Error("WithMaterializedEvaluation should opt out of streaming")
+	if stCold.Strategy != "prover" || stCold.CacheHits+stCold.CacheMisses != 0 {
+		t.Errorf("uncached prover run: strategy=%s cache hits=%d misses=%d",
+			stCold.Strategy, stCold.CacheHits, stCold.CacheMisses)
 	}
-	if stMat.Answers != 2 {
-		t.Errorf("materialized evaluation changed answers: %+v", stMat)
+	if stCold.Answers != 2 {
+		t.Errorf("uncached prover run changed answers: %+v", stCold)
 	}
 }
 

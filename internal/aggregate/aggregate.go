@@ -12,6 +12,13 @@
 // choices — each X-group keeps exactly one of its Y-partitions — which
 // makes all four bounds computable in a single scan (the polynomial cases
 // of [3]); AVG, shown harder in [3], is intentionally not offered.
+//
+// NULLs follow the three-valued semantics of the FD's denial constraint,
+// as conflict detection does: a tuple with a NULL in X, or in a
+// single-column Y, conflicts with nothing and is kept by every repair.
+// With a multi-column Y a NULL component leaves the conflicts
+// non-transitive, so the per-group decomposition does not apply and
+// Consistent reports an error instead of a range.
 package aggregate
 
 import (
@@ -164,25 +171,38 @@ type group struct {
 
 // partition scans the table once, bucketing tuples by (LHS, RHS) keys.
 // Partitions whose tuples all fail the predicate still appear with
-// count 0 — they are legal repair choices that contribute nothing.
+// count 0 — they are legal repair choices that contribute nothing. A
+// tuple that conflicts with nothing because of a NULL (see the package
+// comment) is a group of its own.
 func partition(t *storage.Table, lhs, rhs []int, attrIdx int, pred ra.Expr) ([]group, error) {
 	groupIdx := map[string]int{}
 	partIdx := map[string]int{}
 	var groups []group
 	err := t.Scan(func(_ storage.RowID, row value.Tuple) error {
-		gk := value.KeyOf(row, lhs)
-		gi, ok := groupIdx[gk]
-		if !ok {
+		var gi, pi int
+		lhsNull, rhsNull := hasNull(row, lhs), hasNull(row, rhs)
+		switch {
+		case lhsNull || rhsNull && len(rhs) == 1:
 			gi = len(groups)
-			groupIdx[gk] = gi
-			groups = append(groups, group{})
-		}
-		pk := gk + "\x00" + value.KeyOf(row, rhs)
-		pi, ok := partIdx[pk]
-		if !ok {
-			pi = len(groups[gi].parts)
-			partIdx[pk] = pi
-			groups[gi].parts = append(groups[gi].parts, part{})
+			groups = append(groups, group{parts: []part{{}}})
+		case rhsNull:
+			return fmt.Errorf("aggregate: NULL in the multi-column FD right-hand side of tuple %s", value.TupleString(row))
+		default:
+			gk := value.KeyOf(row, lhs)
+			var ok bool
+			gi, ok = groupIdx[gk]
+			if !ok {
+				gi = len(groups)
+				groupIdx[gk] = gi
+				groups = append(groups, group{})
+			}
+			pk := gk + "\x00" + value.KeyOf(row, rhs)
+			pi, ok = partIdx[pk]
+			if !ok {
+				pi = len(groups[gi].parts)
+				partIdx[pk] = pi
+				groups[gi].parts = append(groups[gi].parts, part{})
+			}
 		}
 		qualifies := true
 		if pred != nil {
@@ -409,6 +429,16 @@ func scanQualifying(t *storage.Table, pred ra.Expr, fn func(row value.Tuple)) er
 		fn(row)
 		return nil
 	})
+}
+
+// hasNull reports whether any of row's cols is NULL.
+func hasNull(row value.Tuple, cols []int) bool {
+	for _, c := range cols {
+		if row[c].IsNull() {
+			return true
+		}
+	}
+	return false
 }
 
 func resolveCols(sch schema.Schema, names []string) ([]int, error) {

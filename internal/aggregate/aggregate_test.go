@@ -3,6 +3,7 @@ package aggregate
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"hippo/internal/conflict"
@@ -114,6 +115,40 @@ func TestNullsAreSkipped(t *testing.T) {
 	}
 	if !r.MayBeEmpty == false { // k=2 always contributes
 		t.Errorf("mayBeEmpty = %v", r.MayBeEmpty)
+	}
+}
+
+// A NULL in the FD's left-hand side or in its single-column right-hand
+// side makes the denial unknown, so the tuple conflicts with nothing and
+// every repair keeps it.
+func TestNullFDColumnsConflictWithNothing(t *testing.T) {
+	for _, rows := range []string{"(NULL,1,5), (NULL,2,7)", "(1,NULL,5), (1,2,7)"} {
+		db := newDB(t, rows)
+		if r := run(t, db, Count, "", ""); r.Lower != value.Int(2) || r.Upper != value.Int(2) {
+			t.Errorf("%s: COUNT = %v, want [2, 2]", rows, r)
+		}
+		if r := run(t, db, Sum, "w", ""); r.Lower != value.Int(12) || r.Upper != value.Int(12) {
+			t.Errorf("%s: SUM = %v, want [12, 12]", rows, r)
+		}
+	}
+}
+
+// With a multi-column right-hand side a NULL component makes conflicts
+// non-transitive; Consistent refuses rather than return a wrong range.
+func TestNullInCompositeRHSErrors(t *testing.T) {
+	db := newDB(t, "(1,NULL,5), (1,2,7)")
+	composite := constraint.FD{Rel: "r", LHS: []string{"k"}, RHS: []string{"v", "w"}}
+	if _, err := Consistent(db, Query{Rel: "r", Fn: Count, FD: composite}); err == nil {
+		t.Error("NULL in a multi-column right-hand side should fail")
+	}
+	// A NULL left-hand side still makes the tuple conflict-free.
+	db = newDB(t, "(NULL,NULL,5), (1,2,7)")
+	r, err := Consistent(db, Query{Rel: "r", Fn: Count, FD: composite})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Lower != value.Int(2) || r.Upper != value.Int(2) {
+		t.Errorf("COUNT = %v, want [2, 2]", r)
 	}
 }
 
@@ -232,7 +267,7 @@ func oracleRange(t *testing.T, db *engine.DB, fn Func, attr, where string) Range
 
 // TestRandomizedAgainstOracle checks all four aggregates against the
 // brute-force repair oracle on randomized instances, with and without
-// filters.
+// filters. About one in six FD column values is NULL.
 func TestRandomizedAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	wheres := []string{"", "w > 5", "w < 4"}
@@ -242,13 +277,13 @@ func TestRandomizedAgainstOracle(t *testing.T) {
 		seen := map[string]bool{}
 		n := 4 + rng.Intn(6)
 		for len(seen) < n {
-			k, v, w := rng.Intn(3), rng.Intn(3), rng.Intn(10)
-			key := fmt.Sprintf("%d|%d|%d", k, v, w)
+			k, v, w := nullable(rng, 3), nullable(rng, 3), rng.Intn(10)
+			key := fmt.Sprintf("%s|%s|%d", k, v, w)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			mustExec(db, fmt.Sprintf("INSERT INTO r VALUES (%d, %d, %d)", k, v, w))
+			mustExec(db, fmt.Sprintf("INSERT INTO r VALUES (%s, %s, %d)", k, v, w))
 		}
 		for _, fn := range []Func{Count, Sum, Min, Max} {
 			for _, where := range wheres {
@@ -270,6 +305,15 @@ func TestRandomizedAgainstOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nullable renders a random value in [0, n) as SQL, or NULL one time in
+// six.
+func nullable(rng *rand.Rand, n int) string {
+	if rng.Intn(6) == 0 {
+		return "NULL"
+	}
+	return strconv.Itoa(rng.Intn(n))
 }
 
 func sameBound(a, b value.Value) bool {

@@ -102,7 +102,7 @@ func TestConsistentGroupedValidation(t *testing.T) {
 }
 
 // Randomized oracle check: per-group bounds match brute force over all
-// repairs.
+// repairs. About one in six probe and reading values is NULL.
 func TestGroupedRandomizedAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 25; trial++ {
@@ -111,13 +111,13 @@ func TestGroupedRandomizedAgainstOracle(t *testing.T) {
 		seen := map[string]bool{}
 		n := 5 + rng.Intn(5)
 		for len(seen) < n {
-			p, r, s := rng.Intn(3), rng.Intn(5), rng.Intn(2)
-			key := fmt.Sprintf("%d|%d|%d", p, r, s)
+			p, r, s := nullable(rng, 3), nullable(rng, 5), rng.Intn(2)
+			key := fmt.Sprintf("%s|%s|%d", p, r, s)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			mustExec(db, fmt.Sprintf("INSERT INTO m VALUES (%d, %d, %d)", p, r, s))
+			mustExec(db, fmt.Sprintf("INSERT INTO m VALUES (%s, %s, %d)", p, r, s))
 		}
 		for _, fn := range []Func{Count, Sum, Min, Max} {
 			got, err := ConsistentGrouped(db, GroupedQuery{
@@ -172,16 +172,22 @@ func groupedOracle(t *testing.T, db *engine.DB, fn Func) map[int64]Range {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// COUNT(*) counts rows; SUM/MIN/MAX skip NULL readings.
+		rowsBySite := map[int64]int{}
 		bySite := map[int64][]float64{}
 		for _, row := range res.Rows {
-			bySite[row[2].I] = append(bySite[row[2].I], row[1].AsFloat())
+			site := row[2].I
+			rowsBySite[site]++
+			if !row[1].IsNull() {
+				bySite[site] = append(bySite[site], row[1].AsFloat())
+			}
 		}
 		for site := range allSites {
 			vals := bySite[site]
 			var v float64
 			switch fn {
 			case Count:
-				v = float64(len(vals))
+				v = float64(rowsBySite[site])
 			case Sum:
 				for _, x := range vals {
 					v += x

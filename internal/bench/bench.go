@@ -14,7 +14,6 @@ import (
 	"hippo/internal/constraint"
 	"hippo/internal/core"
 	"hippo/internal/engine"
-	"hippo/internal/rewrite"
 	"hippo/internal/workload"
 )
 
@@ -52,31 +51,25 @@ type Scale struct {
 	N int
 	// Reps repeats each timed measurement and keeps the fastest.
 	Reps int
-	// Window is the measurement window per E11 concurrency configuration.
-	Window time.Duration
-	// Procs is the GOMAXPROCS sweep for E17 (nil = the default 1/2/4/8).
-	Procs []int
 }
 
 // QuickScale keeps everything small enough for unit tests and -bench runs.
 func QuickScale() Scale {
 	return Scale{
-		Sizes:  []int{500, 1000, 2000},
-		Rates:  []float64{0, 0.02, 0.08},
-		N:      2000,
-		Reps:   1,
-		Window: 200 * time.Millisecond,
+		Sizes: []int{500, 1000, 2000},
+		Rates: []float64{0, 0.02, 0.08},
+		N:     2000,
+		Reps:  1,
 	}
 }
 
 // FullScale mirrors the paper-style sweep (tens of thousands of tuples).
 func FullScale() Scale {
 	return Scale{
-		Sizes:  []int{1000, 2000, 5000, 10000, 20000, 50000},
-		Rates:  []float64{0, 0.01, 0.02, 0.04, 0.08, 0.16},
-		N:      20000,
-		Reps:   3,
-		Window: 600 * time.Millisecond,
+		Sizes: []int{1000, 2000, 5000, 10000, 20000, 50000},
+		Rates: []float64{0, 0.01, 0.02, 0.04, 0.08, 0.16},
+		N:     20000,
+		Reps:  3,
 	}
 }
 
@@ -236,16 +229,6 @@ func RunAll(w io.Writer, sc Scale) error {
 		E7UnionQuery,
 		E8ConflictDetection,
 		E9Overhead,
-		E10IncrementalMaintenance,
-		E11ConcurrentServing,
-		E12VerdictCache,
-		E13BatchPipeline,
-		E14DurableWrites,
-		E15StreamingEval,
-		E16ServerTier,
-		E17ShardScaling,
-		E18TieredPlanner,
-		E19MaintenancePlane,
 		AblationPruning,
 		AblationDetection,
 	}
@@ -261,7 +244,7 @@ func RunAll(w io.Writer, sc Scale) error {
 	return nil
 }
 
-// Run executes a single experiment by id ("e1".."e19", "ablation-pruning",
+// Run executes a single experiment by id ("e1".."e9", "ablation-pruning",
 // "ablation-detection").
 func Run(id string, sc Scale) (Table, error) {
 	switch strings.ToLower(id) {
@@ -283,26 +266,6 @@ func Run(id string, sc Scale) (Table, error) {
 		return E8ConflictDetection(sc)
 	case "e9":
 		return E9Overhead(sc)
-	case "e10", "incremental":
-		return E10IncrementalMaintenance(sc)
-	case "e11", "concurrent":
-		return E11ConcurrentServing(sc)
-	case "e12", "verdict-cache":
-		return E12VerdictCache(sc)
-	case "e13", "batch":
-		return E13BatchPipeline(sc)
-	case "e14", "durable", "wal":
-		return E14DurableWrites(sc)
-	case "e15", "streaming":
-		return E15StreamingEval(sc)
-	case "e16", "server", "serving":
-		return E16ServerTier(sc)
-	case "e17", "shard", "scaling":
-		return E17ShardScaling(sc)
-	case "e18", "tier", "tiered":
-		return E18TieredPlanner(sc)
-	case "e19", "maintenance", "maint":
-		return E19MaintenancePlane(sc)
 	case "ablation-pruning":
 		return AblationPruning(sc)
 	case "ablation-detection":
@@ -323,5 +286,3 @@ const unionQuery = "SELECT * FROM emp WHERE dept < 50 UNION SELECT * FROM emp WH
 
 // joinQuery joins the fact table with the clean dimension.
 const joinQuery = "SELECT e.id, e.name, e.dept, e.salary, d.id, d.dname, d.budget FROM emp e, dept d WHERE e.dept = d.id AND e.salary > 90000"
-
-var _ = rewrite.ErrUnionNotSupported // imported for documentation links

@@ -203,33 +203,6 @@ func TestE9Overhead(t *testing.T) {
 	}
 }
 
-func TestE10IncrementalMaintenance(t *testing.T) {
-	tbl, err := E10IncrementalMaintenance(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTable(t, tbl, 2)
-	full, inc := tbl.Rows[0], tbl.Rows[1]
-	if full[0] != "full-rebuild" || inc[0] != "incremental" {
-		t.Fatalf("unexpected regime rows: %v", tbl.Rows)
-	}
-	// The incremental regime must never fall back to a full rescan, and
-	// must have folded every update in as a delta; the rebuild regime
-	// re-detects on every query and applies no deltas.
-	if inc[6] != "0" {
-		t.Errorf("incremental regime ran %s full rebuilds, want 0", inc[6])
-	}
-	if inc[3] == "0" {
-		t.Errorf("incremental regime applied no deltas: %v", inc)
-	}
-	if full[3] != "0" {
-		t.Errorf("full-rebuild regime applied %s deltas, want 0", full[3])
-	}
-	if full[7] != inc[7] {
-		t.Errorf("regimes disagree on answers: full=%s inc=%s", full[7], inc[7])
-	}
-}
-
 func TestAblations(t *testing.T) {
 	sc := QuickScale()
 	tbl, err := AblationPruning(sc)
@@ -264,7 +237,7 @@ func TestRunAndRunAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "A1", "A2"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "A1", "A2"} {
 		if !strings.Contains(out, "### "+id) {
 			t.Errorf("RunAll output missing %s", id)
 		}

@@ -40,49 +40,36 @@ func bigJoinSystem(t *testing.T, n int) *System {
 // a-row appears in many candidates) expensive to certify too.
 const grpJoin = "SELECT * FROM a, b WHERE a.grp = b.grp"
 
-// The core of the context refactor: a consistent query must die on a
-// cancelled or expired context on BOTH evaluation paths. Before this
-// test's change, the materialized path hardcoded context.Background() and
-// ran to completion regardless of the caller's deadline.
+// A consistent query must die on an expired context: evaluation and
+// certification both stop, and the context's error comes back.
 func TestConsistentQueryContextDeadline(t *testing.T) {
 	s := bigJoinSystem(t, 3000)
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"streamed", Options{}},
-		{"materialized", Options{Materialized: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			// Reference: unconstrained evaluation of this query takes far
-			// longer than the deadline (it produces ~n^2/4 candidates), so
-			// finishing quickly below proves the deadline aborted work.
-			const deadline = 50 * time.Millisecond
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			defer cancel()
-			t0 := time.Now()
-			_, _, err := s.ConsistentQueryContext(ctx, grpJoin, tc.opts)
-			elapsed := time.Since(t0)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-			}
-			// Generous bound for loaded CI machines; the E16 benchmark
-			// measures the ~2x-deadline enforcement claim precisely.
-			if elapsed > time.Second {
-				t.Fatalf("deadline enforcement took %v (deadline %v)", elapsed, deadline)
-			}
-		})
-	}
+	t.Run("streamed", func(t *testing.T) {
+		// Reference: unconstrained evaluation of this query takes far
+		// longer than the deadline (it produces ~n^2/4 candidates), so
+		// finishing quickly below proves the deadline aborted work.
+		const deadline = 50 * time.Millisecond
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		defer cancel()
+		t0 := time.Now()
+		_, _, err := s.ConsistentQueryContext(ctx, grpJoin, Options{})
+		elapsed := time.Since(t0)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		// Generous bound for loaded CI machines.
+		if elapsed > time.Second {
+			t.Fatalf("deadline enforcement took %v (deadline %v)", elapsed, deadline)
+		}
+	})
 }
 
 func TestConsistentQueryContextAlreadyCancelled(t *testing.T) {
 	s := bigJoinSystem(t, 200)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, opts := range []Options{{}, {Materialized: true}} {
-		if _, _, err := s.ConsistentQueryContext(ctx, grpJoin, opts); !errors.Is(err, context.Canceled) {
-			t.Fatalf("opts %+v: err = %v, want context.Canceled", opts, err)
-		}
+	if _, _, err := s.ConsistentQueryContext(ctx, grpJoin, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

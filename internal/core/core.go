@@ -78,24 +78,11 @@ type Options struct {
 	// DisablePruning turns off early independence pruning in the prover
 	// (ablation).
 	DisablePruning bool
-	// Serialized disables lock-free snapshot serving for this call: the
-	// query refreshes the view under the exclusive system lock and runs
-	// under the shared lock, reproducing the pre-snapshot architecture.
-	// It exists as the baseline of the E11 concurrency experiment.
-	Serialized bool
 	// DisableVerdictCache bypasses the per-candidate verdict memo for
-	// this call: every candidate is re-certified from scratch. It is the
-	// baseline of the E12 experiment and a differential-testing knob.
+	// this call: every candidate is re-certified from scratch. It is a
+	// differential-testing knob and the benchmark's cold-certification
+	// setting.
 	DisableVerdictCache bool
-	// GlobalCertification disables the component decomposition in the
-	// prover: one blocking-edge search over all negative atoms jointly,
-	// as before component maintenance existed. Implies an uncached run.
-	GlobalCertification bool
-	// Materialized disables streaming evaluation: the envelope is fully
-	// materialized through the legacy access-path-only plan before any
-	// certification starts, reproducing the pre-planner pipeline. It is
-	// the baseline of the E15 experiment and a differential-testing knob.
-	Materialized bool
 	// Tier constrains the tiered answering planner: TierAuto (default)
 	// lets the classifier route eligible queries to the rewrite or hybrid
 	// tier, TierForceProver pins the certification path, and
@@ -127,16 +114,12 @@ type Stats struct {
 	Shards       int    // certification shards (K) of the serving system
 	QueryPlan    string // formatted input plan
 	EnvelopePlan string // formatted envelope plan
-	// Streamed reports whether the run used the streaming pipeline
-	// (envelope rows certified as produced) or the materialized baseline.
-	Streamed bool
 	// JoinOrder is the planner-chosen base-relation access order of the
-	// envelope's physical plan (streaming runs only).
+	// executed physical plan.
 	JoinOrder string
 	// PeakIntermediate is the per-query intermediate high-water mark in
 	// rows: the largest row set any single blocking operator held
-	// materialized (streaming), or the full candidate count (materialized
-	// baseline, which holds the whole envelope output at once).
+	// materialized.
 	PeakIntermediate int64
 	// Strategy names the tier that produced the answers: "rewrite"
 	// (compiled first-order plan, zero certification), "hybrid"
@@ -239,8 +222,6 @@ type System struct {
 	stale atomic.Bool
 
 	// mu serializes view publication and guards the analysis state below.
-	// The Serialized (baseline) query mode additionally read-locks it
-	// across a run, reproducing the old architecture's contention.
 	mu          sync.RWMutex
 	constraints []constraint.Constraint
 	hg          *conflict.ShardedHypergraph
@@ -257,7 +238,7 @@ type System struct {
 
 	// qmu guards the delta queue shared with the engine's change feed.
 	// Writers only ever take qmu (never mu), so DML is never blocked
-	// behind a long analysis or a serialized query.
+	// behind a long analysis.
 	qmu      sync.Mutex
 	pending  []conflict.Delta // queued DML deltas awaiting application
 	analyzed bool             // a hypergraph exists
@@ -899,8 +880,7 @@ func (s *System) ConsistentQuery(sql string, opts Options) (*engine.Result, *Sta
 // ConsistentQueryContext is ConsistentQuery honoring ctx: cancellation or
 // an expired deadline aborts the run — envelope evaluation stops within a
 // bounded number of rows and certification workers stop between
-// candidates — on both the streaming pipeline and the materialized
-// baseline, returning the context's error.
+// candidates — returning the context's error.
 func (s *System) ConsistentQueryContext(ctx context.Context, sql string, opts Options) (*engine.Result, *Stats, error) {
 	q, err := sqlparse.ParseQuery(sql)
 	if err != nil {
@@ -927,28 +907,12 @@ func (s *System) ConsistentQueryPlan(plan ra.Node, opts Options) (*engine.Result
 // ConsistentQueryPlanContext is ConsistentQueryPlan under ctx (see
 // ConsistentQueryContext).
 func (s *System) ConsistentQueryPlanContext(ctx context.Context, plan ra.Node, opts Options) (*engine.Result, *Stats, error) {
-	if opts.Serialized {
-		s.mu.Lock()
-		v, err := s.refreshViewLocked()
-		s.mu.Unlock()
-		if err != nil {
-			return nil, nil, err
-		}
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.runQueryView(ctx, v, plan, opts)
-	}
 	v, err := s.currentView()
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.runQueryView(ctx, v, plan, opts)
-}
-
-// runQueryView rebinds the plan's base-relation accesses onto the view's
-// snapshot, then executes it.
-func (s *System) runQueryView(ctx context.Context, v *queryView, plan ra.Node, opts Options) (*engine.Result, *Stats, error) {
-	plan, err := engine.Rebind(plan, v.snap)
+	// Rebind the plan's base-relation accesses onto the view's snapshot.
+	plan, err = engine.Rebind(plan, v.snap)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1038,15 +1002,9 @@ func (s *System) runQueryViewBound(ctx context.Context, v *queryView, plan ra.No
 		stats.EnvelopePlan = ra.Format(env)
 		stats.Envelope = time.Since(t0)
 
-		// Evaluation + Prover. The default path streams envelope rows
-		// straight into the certification workers, so evaluation and
-		// proving overlap; opts.Materialized keeps the legacy
-		// evaluate-then-certify pipeline.
-		if opts.Materialized {
-			answers, err = s.certifyMaterialized(ctx, v, plan, env, opts, stats)
-		} else {
-			answers, err = s.certifyStreaming(ctx, v, plan, env, opts, stats)
-		}
+		// Evaluation + Prover: envelope rows stream straight into the
+		// certification workers, so evaluation and proving overlap.
+		answers, err = s.certifyStreaming(ctx, v, plan, env, opts, stats)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1072,8 +1030,8 @@ func (s *System) runQueryViewBound(ctx context.Context, v *queryView, plan ra.No
 	return answers, stats, nil
 }
 
-// certConfig is the certification setup shared by the streaming and
-// materialized paths: the membership backend and the verdict-cache wiring.
+// certConfig is a run's certification setup: the membership backend and
+// the verdict-cache wiring.
 type certConfig struct {
 	member      prover.Membership
 	useCache    bool
@@ -1091,8 +1049,7 @@ func (s *System) certConfig(v *queryView, opts Options, stats *Stats) certConfig
 	// Verdicts hit the cache first (default mode only: ablation and
 	// baseline modes must measure real work), and misses are certified
 	// with dependency tracking and stored for later views.
-	cfg.useCache = opts.Mode == ProverIndexed && !opts.DisablePruning &&
-		!opts.Serialized && !opts.DisableVerdictCache && !opts.GlobalCertification
+	cfg.useCache = opts.Mode == ProverIndexed && !opts.DisablePruning && !opts.DisableVerdictCache
 	if cfg.useCache {
 		cfg.querySig = verdictcache.QuerySignature(stats.QueryPlan)
 		cfg.compResolve = v.hg.Graph().Component
@@ -1101,11 +1058,9 @@ func (s *System) certConfig(v *queryView, opts Options, stats *Stats) certConfig
 }
 
 // newProver builds one certification worker's prover.
-func (s *System) newProver(v *queryView, cfg certConfig, opts Options, compPool chan struct{}) *prover.Prover {
+func (s *System) newProver(v *queryView, cfg certConfig, opts Options) *prover.Prover {
 	p := prover.New(v.hg.Graph(), cfg.member)
 	p.DisablePruning = opts.DisablePruning
-	p.DisableComponents = opts.GlobalCertification
-	p.Pool = compPool
 	return p
 }
 
@@ -1127,95 +1082,6 @@ func (s *System) certifyOne(p *prover.Prover, cfg certConfig, v *queryView, plan
 		return ok, nil
 	}
 	return p.IsConsistentAnswer(plan, row)
-}
-
-// certifyMaterialized is the legacy evaluate-then-certify pipeline: the
-// envelope is fully materialized (with access-path selection only — the
-// pre-planner evaluation strategy), then certification fans out over the
-// candidate slice. Kept as the opt-out baseline of the E15 experiment.
-// The caller's ctx aborts both stages: the envelope scan dies inside
-// Materialize, and certification workers stop between candidates.
-func (s *System) certifyMaterialized(ctx context.Context, v *queryView, plan, env ra.Node, opts Options, stats *Stats) (*engine.Result, error) {
-	t0 := time.Now()
-	candidates, err := v.snap.RunPlanLegacyContext(ctx, env)
-	if err != nil {
-		return nil, err
-	}
-	stats.Evaluation = time.Since(t0)
-	stats.Candidates = len(candidates.Rows)
-	stats.PeakIntermediate = int64(len(candidates.Rows))
-
-	// Prover: keep candidates that hold in every repair. Each membership
-	// check is independent, so certification fans out over a bounded pool
-	// of workers (one prover each — the view's hypergraph and tuple index
-	// are immutable) and results are collected by candidate position, so
-	// the answer order matches the sequential run exactly.
-	t0 = time.Now()
-	cfg := s.certConfig(v, opts, stats)
-	poolSize := runtime.GOMAXPROCS(0)
-	workers := poolSize
-	if workers > len(candidates.Rows) {
-		workers = len(candidates.Rows)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Pool capacity not consumed by per-candidate workers fans a single
-	// candidate's independent components out in parallel instead.
-	var compPool chan struct{}
-	if spare := poolSize - workers; spare > 0 {
-		compPool = make(chan struct{}, spare)
-	}
-	stats.Workers = workers
-	keep := make([]bool, len(candidates.Rows))
-	provers := make([]*prover.Prover, workers)
-	errs := make([]error, workers)
-	var next, cacheHits, cacheMisses atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		p := s.newProver(v, cfg, opts, compPool)
-		provers[w] = p
-		wg.Add(1)
-		go func(w int, p *prover.Prover) {
-			defer wg.Done()
-			for !failed.Load() {
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					failed.Store(true)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(candidates.Rows) {
-					return
-				}
-				ok, err := s.certifyOne(p, cfg, v, plan, candidates.Rows[i], &cacheHits, &cacheMisses)
-				if err != nil {
-					errs[w] = err
-					failed.Store(true)
-					return
-				}
-				keep[i] = ok
-			}
-		}(w, p)
-	}
-	wg.Wait()
-	stats.CacheHits = cacheHits.Load()
-	stats.CacheMisses = cacheMisses.Load()
-	if err := firstCertErr(nil, errs); err != nil {
-		return nil, err
-	}
-	answers := &engine.Result{Schema: plan.Schema()}
-	for i, cand := range candidates.Rows {
-		if keep[i] {
-			answers.Rows = append(answers.Rows, cand)
-		}
-	}
-	stats.ProverTime = time.Since(t0)
-	for _, p := range provers {
-		stats.ProverStats.Add(p.Stats)
-	}
-	return answers, nil
 }
 
 // firstCertErr selects the error a certification run reports, from the
@@ -1260,7 +1126,6 @@ func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env r
 	cfg := s.certConfig(v, opts, stats)
 	phys := engine.Optimize(env)
 	stats.JoinOrder = planLeafOrder(phys)
-	stats.Streamed = true
 
 	es := &ra.ExecStats{}
 	ctx, cancel := context.WithCancel(ctx)
@@ -1279,7 +1144,7 @@ func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env r
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		p := s.newProver(v, cfg, opts, nil)
+		p := s.newProver(v, cfg, opts)
 		provers[w] = p
 		wg.Add(1)
 		go func(w int, p *prover.Prover) {
@@ -1426,10 +1291,6 @@ func (s *System) Support(sql string) (SupportSummary, error) {
 
 // FormatStats renders a run's statistics as a compact multi-line report.
 func FormatStats(st *Stats) string {
-	eval := "streamed"
-	if !st.Streamed {
-		eval = "materialized"
-	}
 	order := st.JoinOrder
 	if order == "" {
 		order = "-"
@@ -1442,7 +1303,7 @@ func FormatStats(st *Stats) string {
 		"tier=%s classify=%v fallback=%v reasons=%s\n"+
 			"tier-totals: rewrite=%d hybrid=%d prover=%d fallbacks=%d\n"+
 			"mode=%s candidates=%d answers=%d workers=%d shards=%d epoch=%d\n"+
-			"planner: eval=%s join-order=%s peak-intermediate-rows=%d\n"+
+			"planner: join-order=%s peak-intermediate-rows=%d\n"+
 			"envelope=%v evaluation=%v prover=%v total=%v\n"+
 			"membership-checks=%d disjuncts=%d blocker-choices=%d engine-queries=%d\n"+
 			"hypergraph: edges=%d conflicting-tuples=%d max-degree=%d components=%d max-component=%d\n"+
@@ -1452,7 +1313,7 @@ func FormatStats(st *Stats) string {
 		st.Strategy, st.Classify, st.TierFallback, reasons,
 		st.Tiers.Rewrite, st.Tiers.Hybrid, st.Tiers.Prover, st.Tiers.Fallbacks,
 		st.ProverMode, st.Candidates, st.Answers, st.Workers, st.Shards, st.Epoch,
-		eval, order, st.PeakIntermediate,
+		order, st.PeakIntermediate,
 		st.Envelope, st.Evaluation, st.ProverTime, st.Total,
 		st.ProverStats.MembershipChecks, st.ProverStats.Disjuncts,
 		st.ProverStats.BlockerChoices, st.EngineQuery,

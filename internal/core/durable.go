@@ -2,10 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
-	"sync"
 	"time"
 
 	"hippo/internal/constraint"
@@ -59,14 +55,6 @@ type DurableOptions struct {
 	// logged, so K is purely a runtime choice: the same directory can be
 	// reopened with any shard count.
 	Shards int
-	// ReplayWorkers caps the workers recovery uses to replay committed
-	// WAL batches in parallel (runs of batch records split into
-	// table-disjoint streams; commit order is preserved per table, and
-	// DDL/constraint records are barriers). 1 forces the sequential
-	// replay; 0 reads the HIPPO_REPLAY_WORKERS environment variable,
-	// falling back to GOMAXPROCS. The recovered state is identical for
-	// every worker count.
-	ReplayWorkers int
 }
 
 // DefaultCheckpointBytes is the automatic checkpoint threshold when
@@ -98,7 +86,7 @@ func OpenDurable(o DurableOptions) (*System, error) {
 			}
 		}
 	}
-	if err := replayRecords(db, &cs, rec.Records, replayWorkers(o.ReplayWorkers)); err != nil {
+	if err := replayRecords(db, &cs, rec.Records); err != nil {
 		st.Close()
 		return nil, err
 	}
@@ -146,129 +134,17 @@ func restoreTable(ts wal.TableState) (*storage.Table, error) {
 	return t, nil
 }
 
-// replayWorkers resolves the effective replay worker count (see
-// DurableOptions.ReplayWorkers).
-func replayWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	if v, err := strconv.Atoi(os.Getenv("HIPPO_REPLAY_WORKERS")); err == nil && v > 0 {
-		return v
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// replayRecords replays the committed WAL tail. DDL and constraint
-// records replay strictly in commit order — they change the catalog the
-// records around them resolve against — but a run of consecutive batch
-// records between such barriers touches only row storage, and rows of
-// different tables are independent: the run is split into per-table
-// change streams (each preserving commit order, which fixes the RowID
-// allocation order and hence vertex identity) and the streams replay
-// concurrently across workers. Any worker count recovers the identical
-// state; errors report the lowest failing record index, matching the
-// sequential replay.
-func replayRecords(db *engine.DB, cs *[]constraint.Constraint, recs []wal.Record, workers int) error {
-	for i := 0; i < len(recs); {
-		if recs[i].Kind != wal.RecordBatch {
-			if err := applyRecord(db, cs, recs[i]); err != nil {
-				return fmt.Errorf("core: replaying WAL record %d (%s): %w", i, recs[i].Kind, err)
-			}
-			i++
-			continue
+// replayRecords replays the committed WAL tail sequentially, in commit
+// order: DDL and constraint records change the catalog the records after
+// them resolve against, and each table's changes re-land in the order
+// that fixed their RowIDs (the hypergraph's vertex identity).
+func replayRecords(db *engine.DB, cs *[]constraint.Constraint, recs []wal.Record) error {
+	for i, r := range recs {
+		if err := applyRecord(db, cs, r); err != nil {
+			return fmt.Errorf("core: replaying WAL record %d (%s): %w", i, r.Kind, err)
 		}
-		j := i
-		for j < len(recs) && recs[j].Kind == wal.RecordBatch {
-			j++
-		}
-		if err := replayBatchRun(db, recs[i:j], i, workers); err != nil {
-			return err
-		}
-		i = j
 	}
 	return nil
-}
-
-// pendingReplay is one change awaiting replay, tagged with the index of
-// the WAL record it came from (for error reporting).
-type pendingReplay struct {
-	rec int
-	ch  storage.Change
-}
-
-// replayBatchRun replays one run of consecutive batch records (indices
-// base..base+len(recs) in the full tail) split by table across workers.
-func replayBatchRun(db *engine.DB, recs []wal.Record, base, workers int) error {
-	perTable := make(map[string][]pendingReplay)
-	var order []string
-	for k, r := range recs {
-		for _, tc := range r.Batch {
-			if _, ok := perTable[tc.Table]; !ok {
-				order = append(order, tc.Table)
-			}
-			perTable[tc.Table] = append(perTable[tc.Table], pendingReplay{rec: base + k, ch: tc.Change})
-		}
-	}
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers <= 1 {
-		for _, name := range order {
-			if _, err := replayTableRun(db, name, perTable[name]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		mu      sync.Mutex
-		bestRec int
-		bestErr error
-	)
-	work := make(chan string)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for name := range work {
-				if rec, err := replayTableRun(db, name, perTable[name]); err != nil {
-					mu.Lock()
-					if bestErr == nil || rec < bestRec {
-						bestRec, bestErr = rec, err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, name := range order {
-		work <- name
-	}
-	close(work)
-	wg.Wait()
-	return bestErr
-}
-
-// replayTableRun replays one table's change stream in commit order; on
-// failure it reports the index of the offending record.
-func replayTableRun(db *engine.DB, name string, run []pendingReplay) (int, error) {
-	t, err := db.Table(name)
-	if err != nil {
-		return run[0].rec, fmt.Errorf("core: replaying WAL record %d (%s): %w", run[0].rec, wal.RecordBatch, err)
-	}
-	for _, pc := range run {
-		var err error
-		if pc.ch.Kind == storage.ChangeInsert {
-			err = t.ReplayInsert(pc.ch.Row, pc.ch.Tuple)
-		} else {
-			err = t.ReplayDelete(pc.ch.Row)
-		}
-		if err != nil {
-			return pc.rec, fmt.Errorf("core: replaying WAL record %d (%s): %w", pc.rec, wal.RecordBatch, err)
-		}
-	}
-	return 0, nil
 }
 
 // applyRecord replays one WAL record into the recovering database. No

@@ -113,29 +113,6 @@ func TestInvalidateForcesFullRebuild(t *testing.T) {
 	}
 }
 
-// The Serialized baseline mode must return exactly the same answers as
-// snapshot serving.
-func TestSerializedModeAgrees(t *testing.T) {
-	s := newSystem(t)
-	for _, q := range []string{
-		"SELECT * FROM emp",
-		"SELECT * FROM emp WHERE salary > 120",
-		"SELECT * FROM emp WHERE id = 2 UNION SELECT * FROM emp WHERE id = 4",
-	} {
-		a, _, err := s.ConsistentQuery(q, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _, err := s.ConsistentQuery(q, Options{Serialized: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Join(rowStrings(a.Rows), "|") != strings.Join(rowStrings(b.Rows), "|") {
-			t.Errorf("%q: serialized mode disagrees: %v vs %v", q, rowStrings(a.Rows), rowStrings(b.Rows))
-		}
-	}
-}
-
 // Repair enumeration reads the published snapshot without cloning it; it
 // must leave the snapshot (and the live graph) untouched.
 func TestEnumerationDoesNotMutateSnapshot(t *testing.T) {

@@ -11,10 +11,9 @@ import (
 )
 
 // Differential property: the streaming certification pipeline (cost-based
-// planner + overlapped prover pool) and the materialized pre-planner
-// baseline must produce identical consistent answers — and both must
-// match the repair-enumeration oracle — on randomized instances, with and
-// without interleaved updates flowing through the verdict-cache path.
+// planner + overlapped prover pool) and the tier the classifier picks must
+// both match the repair-enumeration oracle on randomized instances, with
+// and without interleaved updates flowing through the verdict-cache path.
 
 // streamingQueries is the SJUD battery used by every differential test
 // below; join shapes exercise the planner's Product→Join rewrite.
@@ -54,36 +53,11 @@ func randomJoinSystem(rng *rand.Rand, n int) *System {
 	return NewSystem(db, []constraint.Constraint{fd})
 }
 
-// assertStreamedMatches runs q in both modes on s and compares the answer
-// sets (and, when oracle is true, the repair-enumeration ground truth).
-func assertStreamedMatches(t *testing.T, s *System, q, label string, oracle bool, opts Options) {
+// assertMatchesOracle runs q on s twice — on the tier the classifier
+// picks and pinned to the streaming prover tier — and compares both
+// answer sets to the repair-enumeration ground truth.
+func assertMatchesOracle(t *testing.T, s *System, q, label string, opts Options) {
 	t.Helper()
-	optsStreamed := opts
-	optsStreamed.Materialized = false
-	optsMat := opts
-	optsMat.Materialized = true
-
-	streamed, stStreamed, err := s.ConsistentQuery(q, optsStreamed)
-	if err != nil {
-		t.Fatalf("%s %q streamed: %v", label, q, err)
-	}
-	materialized, stMat, err := s.ConsistentQuery(q, optsMat)
-	if err != nil {
-		t.Fatalf("%s %q materialized: %v", label, q, err)
-	}
-	if !stStreamed.Streamed {
-		t.Fatalf("%s %q: streamed run did not report Streamed", label, q)
-	}
-	if stMat.Streamed {
-		t.Fatalf("%s %q: materialized run reported Streamed", label, q)
-	}
-	g, m := rowStrings(streamed.Rows), rowStrings(materialized.Rows)
-	if strings.Join(g, "|") != strings.Join(m, "|") {
-		t.Fatalf("%s %q:\n streamed     %v\n materialized %v", label, q, g, m)
-	}
-	if !oracle {
-		return
-	}
 	en, err := s.RepairEnumerator()
 	if err != nil {
 		t.Fatal(err)
@@ -92,40 +66,54 @@ func assertStreamedMatches(t *testing.T, s *System, q, label string, oracle bool
 	if err != nil {
 		t.Fatalf("%s %q oracle: %v", label, q, err)
 	}
-	if w := rowStrings(want); strings.Join(g, "|") != strings.Join(w, "|") {
-		t.Fatalf("%s %q:\n streamed %v\n oracle   %v", label, q, g, w)
+	w := strings.Join(rowStrings(want), "|")
+	for _, pin := range []bool{false, true} {
+		o := opts
+		if pin {
+			o.Tier = TierForceProver
+		}
+		got, st, err := s.ConsistentQuery(q, o)
+		if err != nil {
+			t.Fatalf("%s %q (pinned=%v): %v", label, q, pin, err)
+		}
+		if pin && st.Strategy != "prover" {
+			t.Fatalf("%s %q: pinned run served by the %s tier", label, q, st.Strategy)
+		}
+		if g := strings.Join(rowStrings(got.Rows), "|"); g != w {
+			t.Fatalf("%s %q (%s tier):\n got    %v\n oracle %v", label, q, st.Strategy, g, w)
+		}
 	}
 }
 
-// TestStreamingMatchesMaterializedRandomized: static instances, all
-// query shapes, both modes, against the oracle.
-func TestStreamingMatchesMaterializedRandomized(t *testing.T) {
+// TestStreamingMatchesOracleRandomized: static instances, all query
+// shapes, both tier choices, against the oracle.
+func TestStreamingMatchesOracleRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 15; trial++ {
 		s := randomJoinSystem(rng, 6+rng.Intn(6))
 		for _, q := range streamingQueries {
-			assertStreamedMatches(t, s, q, fmt.Sprintf("trial %d", trial), true, Options{})
+			assertMatchesOracle(t, s, q, fmt.Sprintf("trial %d", trial), Options{})
 		}
 		s.Close()
 	}
 }
 
-// TestStreamingMatchesMaterializedNoCache repeats the property with the
+// TestStreamingMatchesOracleNoCache repeats the property with the
 // verdict cache disabled, so every certification hits the prover.
-func TestStreamingMatchesMaterializedNoCache(t *testing.T) {
+func TestStreamingMatchesOracleNoCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 5; trial++ {
 		s := randomJoinSystem(rng, 8)
 		for _, q := range streamingQueries {
-			assertStreamedMatches(t, s, q, fmt.Sprintf("trial %d", trial), true,
+			assertMatchesOracle(t, s, q, fmt.Sprintf("trial %d", trial),
 				Options{DisableVerdictCache: true})
 		}
 		s.Close()
 	}
 }
 
-// TestStreamingUnderInterleavedUpdates: both modes stay equal (and
-// oracle-correct) while inserts and deletes flow through incremental
+// TestStreamingUnderInterleavedUpdates: both tier choices stay
+// oracle-correct while inserts and deletes flow through incremental
 // maintenance and the verdict-cache invalidation path between queries.
 func TestStreamingUnderInterleavedUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -162,9 +150,9 @@ func TestStreamingUnderInterleavedUpdates(t *testing.T) {
 			continue
 		}
 		// Default Options: verdict cache on, so repeated checkpoints walk
-		// the store/invalidate path in both modes.
+		// the store/invalidate path.
 		for _, q := range streamingQueries {
-			assertStreamedMatches(t, s, q, fmt.Sprintf("step %d", step), true, Options{})
+			assertMatchesOracle(t, s, q, fmt.Sprintf("step %d", step), Options{})
 		}
 	}
 	if c := s.CacheStats(); c.Stores == 0 {

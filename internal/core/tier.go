@@ -62,13 +62,11 @@ func (s *System) TierCounts() TierCounters {
 func (s *System) ConstraintEpoch() uint64 { return s.cepoch.Load() }
 
 // certTuningSet reports whether any certification-plane tuning option is
-// active. Such runs are experiment baselines measuring the prover plane
-// (naive membership, pruning/cache/component ablations, serialized or
-// materialized pipelines), so the planner must not route them away from
-// it.
+// active. Such runs measure the prover plane (naive membership, the
+// pruning ablation, an uncached run), so the planner must not route them
+// away from it.
 func certTuningSet(opts Options) bool {
-	return opts.Mode != ProverIndexed || opts.DisablePruning || opts.Serialized ||
-		opts.DisableVerdictCache || opts.GlobalCertification || opts.Materialized
+	return opts.Mode != ProverIndexed || opts.DisablePruning || opts.DisableVerdictCache
 }
 
 // preparedRewriter returns the rewriter prepared for the current
@@ -141,7 +139,6 @@ func (s *System) answerRewrite(ctx context.Context, v *queryView, dec *cqaplan.D
 		return nil, err
 	}
 	stats.JoinOrder = planLeafOrder(phys)
-	stats.Streamed = true
 	es := &ra.ExecStats{}
 	res, err := v.snap.RunPlanRawContext(ra.WithExecStats(ctx, es), phys)
 	if err != nil {

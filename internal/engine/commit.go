@@ -14,7 +14,7 @@ import (
 // enqueue order. Releasing the sequencer before the fsync wait is what
 // lets concurrent committers coalesce into one group fsync — under the
 // old inline path the sequencer serialized the fsyncs themselves, so
-// every committer paid a full disk round-trip (the E14 batch-1 penalty).
+// every committer paid a full disk round-trip.
 //
 // The invariants the inline path provided are preserved:
 //

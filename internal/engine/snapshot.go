@@ -95,26 +95,6 @@ func (s *Snapshot) RunPlanContext(ctx context.Context, plan ra.Node) (*Result, e
 	return &Result{Schema: plan.Schema(), Rows: rows}, nil
 }
 
-// RunPlanLegacy executes a plan with access-path selection only, skipping
-// the cost-based stage — the pre-planner evaluation strategy, kept as an
-// opt-out baseline for comparison and for callers that need the written
-// join order verbatim.
-func (s *Snapshot) RunPlanLegacy(plan ra.Node) (*Result, error) {
-	return s.RunPlanLegacyContext(context.Background(), plan)
-}
-
-// RunPlanLegacyContext is RunPlanLegacy under ctx. The materialized
-// consistent-query path runs envelopes through it, so a deadline kills a
-// materialized evaluation exactly as it kills a streamed one.
-func (s *Snapshot) RunPlanLegacyContext(ctx context.Context, plan ra.Node) (*Result, error) {
-	s.db.queries.Add(1)
-	rows, err := ra.Materialize(ctx, accessPaths(plan))
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: plan.Schema(), Rows: rows}, nil
-}
-
 // RunPlanRaw executes a plan without any optimization (see DB.RunPlanRaw).
 func (s *Snapshot) RunPlanRaw(plan ra.Node) (*Result, error) {
 	return s.RunPlanRawContext(context.Background(), plan)

@@ -97,8 +97,12 @@ type RunStats struct {
 	Answers    int    `json:"answers"`
 	CacheHits  int64  `json:"cache_hits"`
 	CacheMiss  int64  `json:"cache_misses"`
-	Streamed   bool   `json:"streamed"`
 	TotalUS    int64  `json:"total_us"`
+	// Strategy is the planner tier that produced the answers
+	// ("rewrite", "hybrid", or "prover"); TierFallback reports a
+	// fast-tier run silently re-served by the prover.
+	Strategy     string `json:"strategy,omitempty"`
+	TierFallback bool   `json:"tier_fallback,omitempty"`
 }
 
 // Stats is the server-level snapshot from /v1/stats.
@@ -124,9 +128,6 @@ type QueryOpts struct {
 	// Timeout is sent as timeout_ms: the server-side deadline. Zero
 	// uses the server default.
 	Timeout time.Duration
-	// Materialized selects the materialized evaluation baseline
-	// (consistent queries only).
-	Materialized bool
 	// Tier constrains the tiered planner for consistent queries: ""
 	// or "auto" lets the classifier decide, "prover" pins the
 	// certification path, "require-rewrite" errors unless the rewrite
@@ -222,9 +223,6 @@ func queryBody(sql string, o QueryOpts) map[string]any {
 	if o.Timeout > 0 {
 		in["timeout_ms"] = o.timeoutMS()
 	}
-	if o.Materialized {
-		in["materialized"] = true
-	}
 	if o.Tier != "" {
 		in["tier"] = o.Tier
 	}
@@ -241,7 +239,7 @@ func (c *Client) Query(ctx context.Context, sql string, o QueryOpts) (*Result, e
 }
 
 // ConsistentQuery computes consistent answers, optionally pinned to a
-// session snapshot and/or on the materialized baseline.
+// session snapshot and/or to one planner tier.
 func (c *Client) ConsistentQuery(ctx context.Context, sql string, o QueryOpts) (*Result, error) {
 	var res Result
 	if err := c.do(ctx, http.MethodPost, "/v1/consistent-query", queryBody(sql, o), &res); err != nil {

@@ -147,7 +147,7 @@ type Prover struct {
 	DisablePruning bool
 	// DisableComponents falls back to the single global blocker search
 	// over all negative atoms jointly (the pre-decomposition architecture,
-	// kept as the E12 baseline and for differential testing).
+	// kept as the reference for differential testing).
 	DisableComponents bool
 	// Pool, when non-nil, is a shared token semaphore: a disjunct whose
 	// atoms span several conflict components runs the per-component

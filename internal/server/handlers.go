@@ -28,9 +28,6 @@ type queryRequest struct {
 	SQL       string `json:"sql"`
 	Session   string `json:"session,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
-	// Materialized selects the materialized evaluation baseline for
-	// consistent queries (ignored by /v1/query).
-	Materialized bool `json:"materialized,omitempty"`
 	// Tier constrains the tiered planner for consistent queries: ""/"auto"
 	// (classifier decides), "prover" (pin certification), or
 	// "require-rewrite" (error unless the rewrite tier serves it).
@@ -51,7 +48,6 @@ type runStats struct {
 	Answers    int    `json:"answers"`
 	CacheHits  int64  `json:"cache_hits"`
 	CacheMiss  int64  `json:"cache_misses"`
-	Streamed   bool   `json:"streamed"`
 	TotalUS    int64  `json:"total_us"`
 	// Strategy is the planner tier that produced the answers
 	// ("rewrite", "hybrid", or "prover"); TierFallback reports a
@@ -379,9 +375,6 @@ func (s *Server) handleConsistentQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	var opts []hippo.Option
-	if req.Materialized {
-		opts = append(opts, hippo.WithMaterializedEvaluation())
-	}
 	switch req.Tier {
 	case "", "auto":
 	case "prover":
@@ -523,7 +516,6 @@ func wireStats(st *hippo.Stats) *runStats {
 		Answers:      st.Answers,
 		CacheHits:    st.CacheHits,
 		CacheMiss:    st.CacheMisses,
-		Streamed:     st.Streamed,
 		TotalUS:      st.Total.Microseconds(),
 		Strategy:     st.Strategy,
 		TierFallback: st.TierFallback,

@@ -7,8 +7,8 @@
 // The server is an http.Handler; cmd/hippod mounts it on an http.Server
 // and drives the drain sequence on SIGTERM. Every query path runs under
 // a context derived from the incoming request, so the engine's
-// cancellation contract (bounded rows past a deadline on both streamed
-// and materialized evaluation) is the server's latency contract too.
+// cancellation contract (bounded rows past a deadline) is the server's
+// latency contract too.
 package server
 
 import (

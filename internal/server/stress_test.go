@@ -83,12 +83,13 @@ func joinSpace(parts []string) string {
 }
 
 // TestServerStressPrefixConsistency hammers the serving tier with
-// concurrent HTTP clients — consistent queries (both evaluation paths),
-// plain queries, and session-pinned reads — racing one writer applying
-// a deterministic update sequence through exec and batch. Every
-// response must match a prefix of the update sequence, epochs are
-// monotone per reader, the drain leaves nothing running, and the
-// process returns to its goroutine baseline. Run under -race in CI.
+// concurrent HTTP clients — consistent queries (on the classifier's tier
+// and pinned to the prover tier), plain queries, and session-pinned reads
+// — racing one writer applying a deterministic update sequence through
+// exec and batch. Every response must match a prefix of the update
+// sequence and come from the tier the reader expects, epochs are monotone
+// per reader, the drain leaves nothing running, and the process returns
+// to its goroutine baseline. Run under -race in CI.
 func TestServerStressPrefixConsistency(t *testing.T) {
 	const steps = 160
 	script, legalCQ, legalPlain := serverStressScript(steps)
@@ -144,12 +145,20 @@ func TestServerStressPrefixConsistency(t *testing.T) {
 		}
 	}()
 
-	// Consistent-query readers, alternating streamed and materialized.
+	// Consistent-query readers. Odd readers pin the prover tier, so the
+	// verdict cache and its invalidation race with the writer; even
+	// readers take the tier the classifier picks for a key FD, the
+	// compiled rewrite.
 	const cqReaders = 4
 	for r := 0; r < cqReaders; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			opts := hclient.QueryOpts{Timeout: 30 * time.Second}
+			wantTier := "rewrite"
+			if r%2 == 1 {
+				opts.Tier, wantTier = "prover", "prover"
+			}
 			lastEpoch := uint64(0)
 			for i := 0; ; i++ {
 				select {
@@ -157,10 +166,13 @@ func TestServerStressPrefixConsistency(t *testing.T) {
 					return
 				default:
 				}
-				res, err := c.ConsistentQuery(ctx, "SELECT * FROM log",
-					hclient.QueryOpts{Materialized: r%2 == 1, Timeout: 30 * time.Second})
+				res, err := c.ConsistentQuery(ctx, "SELECT * FROM log", opts)
 				if err != nil {
 					t.Errorf("cq reader %d: %v", r, err)
+					return
+				}
+				if res.Stats.Strategy != wantTier {
+					t.Errorf("cq reader %d: served by the %q tier, want %q", r, res.Stats.Strategy, wantTier)
 					return
 				}
 				if key := wireKey(res.Rows); !legalCQ[key] {
@@ -223,6 +235,11 @@ func TestServerStressPrefixConsistency(t *testing.T) {
 				res, err := c.ConsistentQuery(ctx, "SELECT * FROM log", hclient.QueryOpts{Session: id})
 				if err != nil {
 					t.Errorf("session query: %v", err)
+					c.ReleaseSession(ctx, id)
+					return
+				}
+				if res.Stats.Strategy != "rewrite" {
+					t.Errorf("session query: served by the %q tier, want rewrite", res.Stats.Strategy)
 					c.ReleaseSession(ctx, id)
 					return
 				}

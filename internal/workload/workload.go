@@ -183,42 +183,6 @@ func Sources(db *engine.DB, cfg SourcesConfig) (int, error) {
 	return disagreements, insertAll(db, "merged", rows)
 }
 
-// UpdateMix returns a deterministic mixed DML statement stream over the
-// emp table produced by Emp(n) — the batched-writer mix of the E13
-// group-commit experiment. The stream interleaves colliding inserts (id
-// already present: a new FD conflict edge), fresh inserts, whole-id
-// deletes, and transient insert+delete pairs (a row created and removed
-// within two adjacent statements — exactly what batch coalescing elides
-// when both land in one batch). Exactly count statements are returned;
-// the same (n, count, seed) always yields the same stream, so regimes
-// applying it at different batch sizes reach identical final states.
-func UpdateMix(n, count int, seed int64) []string {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]string, 0, count+1)
-	fresh := 0
-	for len(out) < count {
-		switch rng.Intn(4) {
-		case 0: // colliding insert: joins an existing id's FD group
-			id := rng.Intn(n)
-			out = append(out, fmt.Sprintf("INSERT INTO emp VALUES (%d, 'mix%06d', %d, %d)",
-				id, len(out), id%100, 90000+rng.Intn(30000)))
-		case 1: // fresh insert: conflict-free new id
-			id := 2*n + fresh
-			fresh++
-			out = append(out, fmt.Sprintf("INSERT INTO emp VALUES (%d, 'mix%06d', %d, %d)",
-				id, len(out), id%100, 30000+rng.Intn(30000)))
-		case 2: // delete an id's whole group
-			out = append(out, fmt.Sprintf("DELETE FROM emp WHERE id = %d", rng.Intn(n)))
-		default: // transient pair
-			id := 1000000 + len(out)
-			out = append(out,
-				fmt.Sprintf("INSERT INTO emp VALUES (%d, 'tmp%06d', 0, 1)", id, len(out)),
-				fmt.Sprintf("DELETE FROM emp WHERE id = %d", id))
-		}
-	}
-	return out[:count]
-}
-
 // SQLDump renders the contents of a database as executable SQL statements
 // (CREATE TABLE + INSERT), used by hippogen.
 func SQLDump(db *engine.DB) (string, error) {
