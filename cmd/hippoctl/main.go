@@ -48,10 +48,9 @@ func main() {
 	var (
 		dir    = flag.String("dir", "", "durability directory (empty: in-memory)")
 		noSync = flag.Bool("nosync", false, "skip per-commit fsync (with -dir)")
-		shards = flag.Int("shards", 1, "certification shard count K (1 = unsharded)")
 	)
 	flag.Parse()
-	db, err := hippo.OpenOptions(hippo.Options{Dir: *dir, NoSync: *noSync, CertShards: *shards})
+	db, err := hippo.OpenOptions(hippo.Options{Dir: *dir, NoSync: *noSync})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hippoctl: %v\n", err)
 		os.Exit(1)
@@ -254,14 +253,6 @@ func execute(db *hippo.DB, out io.Writer, line string) bool {
 		}
 		fmt.Fprintf(out, "epoch=%d views-published=%d views-reclaimed=%d slabs-reclaimed=%d\n",
 			sys.Epoch(), m.ViewsPublished, m.ViewsReclaimed, m.SlabsReclaimed)
-		fmt.Fprintf(out, "shards=%d migrations=%d shard-reclaims=%d\n",
-			sys.Shards(), m.Migrations, m.ShardReclaims)
-		for _, si := range sys.ShardStats() {
-			if sys.Shards() > 1 {
-				fmt.Fprintf(out, "  shard %d: edges=%d components=%d vertices=%d\n",
-					si.Shard, si.Edges, si.Components, si.Vertices)
-			}
-		}
 		c := sys.CacheStats()
 		fmt.Fprintf(out, "verdict-cache: entries=%d hits=%d misses=%d stores=%d invalidated=%d evicted=%d resets=%d\n",
 			c.Entries, c.Hits, c.Misses, c.Stores, c.Invalidated, c.Evicted, c.Resets)

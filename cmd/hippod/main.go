@@ -43,7 +43,6 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		dir         = flag.String("dir", "", "durable data directory (empty = in-memory)")
 		nosync      = flag.Bool("nosync", false, "skip per-commit fsync (durable mode)")
-		shards      = flag.Int("shards", 1, "certification shard count K (1 = unsharded)")
 		maxInflight = flag.Int("max-inflight", 64, "max concurrently executing queries")
 		defTimeout  = flag.Duration("default-timeout", 30*time.Second, "query timeout when the request sets none")
 		maxTimeout  = flag.Duration("max-timeout", 5*time.Minute, "upper clamp on requested query timeouts")
@@ -57,7 +56,7 @@ func main() {
 	log.SetPrefix("hippod: ")
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 
-	db, err := hippo.OpenOptions(hippo.Options{Dir: *dir, NoSync: *nosync, CertShards: *shards})
+	db, err := hippo.OpenOptions(hippo.Options{Dir: *dir, NoSync: *nosync})
 	if err != nil {
 		log.Fatalf("open: %v", err)
 	}
@@ -86,7 +85,7 @@ func main() {
 	if *dir != "" {
 		mode = "durable dir=" + *dir
 	}
-	log.Printf("serving on %s (%s, max-inflight=%d, shards=%d)", *addr, mode, *maxInflight, db.System().Shards())
+	log.Printf("serving on %s (%s, max-inflight=%d)", *addr, mode, *maxInflight)
 
 	select {
 	case err := <-errc:

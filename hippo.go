@@ -92,14 +92,6 @@ type Options struct {
 	// negative disables automatic checkpoints, leaving rotation to
 	// explicit Checkpoint calls.
 	CheckpointBytes int64
-	// CertShards is the certification shard count K: the conflict
-	// hypergraph, tuple index, and verdict invalidation are partitioned by
-	// connected component over K shards, so delta folding and cache
-	// invalidation parallelize across them. 0 and 1 select the unsharded
-	// configuration, which is bit-identical to prior releases. The shard
-	// layout is derived state, never persisted: a durable directory can be
-	// reopened with any K. Capped at core.MaxShards.
-	CertShards int
 	// WrapSyncer, when set, wraps every file the durable store opens for
 	// writing — a fault-injection hook for crash and degraded-maintenance
 	// testing (see wal.Options.WrapSyncer). Leave nil in production.
@@ -112,13 +104,12 @@ type Options struct {
 // record from a crash mid-commit is not damage and recovers cleanly.
 func OpenOptions(o Options) (*DB, error) {
 	if o.Dir == "" {
-		return &DB{sys: core.NewSystemShards(engine.New(), nil, o.CertShards)}, nil
+		return Open(), nil
 	}
 	sys, err := core.OpenDurable(core.DurableOptions{
 		Dir:             o.Dir,
 		NoSync:          o.NoSync,
 		CheckpointBytes: o.CheckpointBytes,
-		Shards:          o.CertShards,
 		WrapSyncer:      o.WrapSyncer,
 	})
 	if err != nil {

@@ -197,8 +197,10 @@ func E3TimeVsSize(sc Scale) (Table, error) {
 		Title: "Selection query: time vs database size (2% conflicts)",
 		Header: []string{"n", "rows", "edges", "SQL ms", "QR ms", "Hippo ms",
 			"Hippo eval ms", "Hippo prover ms", "candidates", "answers"},
-		Notes: "Query: " + selectionQuery + ". All three agree on answers within the SJD class; " +
-			"Hippo's overhead over plain SQL stays a small constant factor, and Hippo tracks QR closely.",
+		Notes: "Query: " + selectionQuery + ". All three agree on answers within the SJD class. " +
+			"Each time is the fastest of the repetitions; Hippo runs on the prover tier. " +
+			"Hippo ms over SQL ms is the prover tier's overhead at each size; bringing it " +
+			"near plain SQL is the open gap of ROADMAP item 1.",
 	}
 	for _, n := range sc.Sizes {
 		sys, rep, err := empSystem(n, 0.02, 7)
@@ -384,7 +386,9 @@ func E9Overhead(sc Scale) (Table, error) {
 		ID:     "E9",
 		Title:  "Overhead of consistent answering vs plain SQL",
 		Header: []string{"query", "n", "SQL ms", "Hippo ms", "ratio"},
-		Notes:  "Ratios stay within a small constant factor across sizes and query shapes.",
+		Notes: "Hippo runs on the prover tier; each time is the fastest of the repetitions. " +
+			"The ratio is the prover tier's overhead over plain SQL for each query shape; " +
+			"bringing it near 1 is the open gap of ROADMAP item 1.",
 	}
 	queries := []struct{ label, sql string }{
 		{"selection", selectionQuery},

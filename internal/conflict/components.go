@@ -1,9 +1,6 @@
 package conflict
 
-import (
-	"hash/fnv"
-	"slices"
-)
+import "hash/fnv"
 
 // Connected-component maintenance.
 //
@@ -122,15 +119,6 @@ func (h *Hypergraph) Components() []Component {
 // NumComponents returns the number of connected components.
 func (h *Hypergraph) NumComponents() int { return len(h.st.comps) }
 
-// ConflictingVertices lists every vertex in at least one hyperedge.
-func (h *Hypergraph) ConflictingVertices() []Vertex {
-	out := make([]Vertex, 0, len(h.st.byVertex))
-	for v := range h.st.byVertex {
-		out = append(out, v)
-	}
-	return out
-}
-
 // ComponentOf returns the component containing v in the snapshot.
 func (s *HypergraphSnapshot) ComponentOf(v Vertex) (ComponentRef, bool) { return s.g.ComponentOf(v) }
 
@@ -154,26 +142,6 @@ func edgeHash(key string) uint64 {
 	z *= 0x94d049bb133111eb
 	z ^= z >> 31
 	return z
-}
-
-// componentEdges returns the live edges of the component containing v, in
-// slot (insertion) order, or nil when v is conflict-free. This is the unit
-// a ShardedHypergraph moves during a cross-shard migration.
-func (h *Hypergraph) componentEdges(v Vertex) []Edge {
-	if _, ok := h.st.compOf[v]; !ok {
-		return nil
-	}
-	_, slots := h.st.compWalk(v)
-	idxs := make([]int, 0, len(slots))
-	for idx := range slots {
-		idxs = append(idxs, idx)
-	}
-	slices.Sort(idxs)
-	out := make([]Edge, len(idxs))
-	for i, idx := range idxs {
-		out[i] = h.st.edges[idx]
-	}
-	return out
 }
 
 // compWalk collects the connected component containing start: its vertex
@@ -229,7 +197,7 @@ func (h *Hypergraph) compEdgeAdded(e Edge) {
 			keep = id
 		}
 	} else {
-		st.nextComp += st.stride
+		st.nextComp++
 		keep = st.nextComp
 	}
 	for id := range oldIDs {
@@ -241,7 +209,7 @@ func (h *Hypergraph) compEdgeAdded(e Edge) {
 	h.logTouched(keep)
 	verts, slots := st.compWalk(e.Verts[0])
 	st.setComponent(keep, verts, slots)
-	if h.changes != nil && !h.migrating {
+	if h.changes != nil {
 		for _, v := range e.Verts {
 			h.changes.AddedEdgeVerts[v] = struct{}{}
 		}
@@ -278,7 +246,7 @@ func (h *Hypergraph) compEdgeRemoved(e Edge) {
 		}
 		id := old
 		if !first {
-			st.nextComp += st.stride
+			st.nextComp++
 			id = st.nextComp
 		}
 		first = false

@@ -357,10 +357,10 @@ func compileDenial(db *engine.DB, den constraint.Denial, order []int) (*denialPr
 }
 
 // enumerate runs the index-accelerated backtracking join, adding one
-// hyperedge per violating tuple combination to the sink. With a non-nil
+// hyperedge per violating tuple combination to h. With a non-nil
 // pin, the first atom binds only the pinned row, so only combinations
 // involving that row are visited.
-func (p *denialProgram) enumerate(h edgeSink, stats *DetectStats, pin *pinnedRow) error {
+func (p *denialProgram) enumerate(h *Hypergraph, stats *DetectStats, pin *pinnedRow) error {
 	atoms := p.atoms
 	var combinedLen int
 	for _, a := range atoms {

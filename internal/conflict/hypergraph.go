@@ -83,12 +83,7 @@ type hgState struct {
 	// mutation (see components.go).
 	compOf   map[Vertex]uint64   // conflicting vertex -> component id
 	comps    map[uint64]compInfo // component id -> fingerprint and sizes
-	nextComp uint64              // id allocator (unique per mutation lineage)
-	// stride is the allocator step: a standalone graph allocates 1, 2, 3…
-	// (stride 1); shard i of a K-way ShardedHypergraph allocates ids ≡ i
-	// (mod K) so component ids are disjoint across shards and id % K
-	// recovers the owning shard in O(1).
-	stride uint64
+	nextComp uint64              // id allocator: 1, 2, 3, … per mutation lineage
 }
 
 func newHGState() *hgState {
@@ -97,7 +92,6 @@ func newHGState() *hgState {
 		keys:     make(map[string]int),
 		compOf:   make(map[Vertex]uint64),
 		comps:    make(map[uint64]compInfo),
-		stride:   1,
 	}
 }
 
@@ -113,7 +107,6 @@ func (st *hgState) clone() *hgState {
 		compOf:    make(map[Vertex]uint64, len(st.compOf)),
 		comps:     make(map[uint64]compInfo, len(st.comps)),
 		nextComp:  st.nextComp,
-		stride:    st.stride,
 	}
 	for v, slots := range st.byVertex {
 		cp.byVertex[v] = slices.Clone(slots)
@@ -142,49 +135,11 @@ type Hypergraph struct {
 	// changes, when non-nil, records component-level mutation effects for
 	// delta-precise cache invalidation (see BeginChangeLog).
 	changes *ChangeLog
-	// migrating suppresses AddedEdgeVerts recording while a sharded
-	// container re-adds a component's edges during a cross-shard migration:
-	// the moved vertices already carry component ids, and those ids are
-	// logged as touched, so identity-based invalidation would be redundant
-	// over-invalidation.
-	migrating bool
 }
 
 // NewHypergraph returns an empty hypergraph.
 func NewHypergraph() *Hypergraph {
 	return &Hypergraph{st: newHGState()}
-}
-
-// newHypergraphStrided returns an empty hypergraph whose component-id
-// allocator yields base+stride, base+2·stride, … — the per-shard allocator
-// of a ShardedHypergraph (base = shard index, stride = shard count).
-func newHypergraphStrided(base, stride uint64) *Hypergraph {
-	h := NewHypergraph()
-	h.st.nextComp = base
-	h.st.stride = stride
-	return h
-}
-
-// reclaimEmptyState swaps in a fresh state once the graph holds no live
-// edges (and hence no components), releasing slot, tombstone, and map
-// capacity an emptied shard would otherwise retain. The component-id
-// allocator survives the swap: ids must never be reused within a mutation
-// lineage, or stale verdict-cache entries could validate against an
-// unrelated later component. Snapshots sharing the old state are
-// unaffected. Reports whether a swap happened.
-func (h *Hypergraph) reclaimEmptyState() bool {
-	if h.st.liveEdges != 0 || len(h.st.compOf) != 0 {
-		return false
-	}
-	if len(h.st.edges) == 0 && !h.shared {
-		return false // already fresh and private
-	}
-	st := newHGState()
-	st.nextComp = h.st.nextComp
-	st.stride = h.st.stride
-	h.st = st
-	h.shared = false
-	return true
 }
 
 // ensureOwned makes the state private to this handle before a mutation.

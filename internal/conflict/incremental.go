@@ -42,26 +42,6 @@ func (s IncrementalStats) Sub(o IncrementalStats) IncrementalStats {
 	}
 }
 
-// edgeSink receives detected violation edges: a live (possibly sharded)
-// hypergraph, or a collector that records edges without mutating anything
-// (the read-only probe stage of the parallel shard fold).
-type edgeSink interface {
-	AddEdge(verts []Vertex, label string) bool
-}
-
-// EdgeStore is the mutable hypergraph surface incremental maintenance
-// drives. Both *Hypergraph and *ShardedHypergraph implement it.
-type EdgeStore interface {
-	edgeSink
-	RemoveVertex(v Vertex) int
-	NumEdges() int
-}
-
-var (
-	_ EdgeStore = (*Hypergraph)(nil)
-	_ EdgeStore = (*ShardedHypergraph)(nil)
-)
-
 // IncrementalDetector maintains a fully detected conflict hypergraph under
 // DML deltas, without rescanning tables:
 //
@@ -77,7 +57,7 @@ var (
 // RemoveVertex). DDL and constraint changes are outside its scope — the
 // core falls back to a full rebuild for those.
 type IncrementalDetector struct {
-	h EdgeStore
+	h *Hypergraph
 	// probes per (lowercased) relation name: the work an insert into that
 	// relation triggers.
 	probes map[string][]probe
@@ -96,7 +76,7 @@ type probe struct {
 // Detect over the same database and constraints). It ensures the same
 // per-constraint hash indexes full detection uses, so probes are O(group)
 // rather than O(table).
-func NewIncrementalDetector(db *engine.DB, h EdgeStore, constraints []constraint.Constraint) (*IncrementalDetector, error) {
+func NewIncrementalDetector(db *engine.DB, h *Hypergraph, constraints []constraint.Constraint) (*IncrementalDetector, error) {
 	inc := &IncrementalDetector{h: h, probes: make(map[string][]probe)}
 	for _, c := range constraints {
 		if fd, ok := c.(constraint.FD); ok {
@@ -146,34 +126,24 @@ func (inc *IncrementalDetector) Apply(d Delta) error {
 	before := inc.h.NumEdges()
 	pin := &pinnedRow{ID: d.Change.Row, Row: d.Change.Tuple}
 	var probeStats DetectStats
-	if err := runProbes(inc.h, inc.probes[rel], pin, &probeStats); err != nil {
-		return err
+	for _, p := range inc.probes[rel] {
+		if p.fd != nil {
+			probeFD(inc.h, p.fd, pin, &probeStats)
+			continue
+		}
+		if err := p.prog.enumerate(inc.h, &probeStats, pin); err != nil {
+			return err
+		}
 	}
 	inc.stats.Combinations += probeStats.Combinations
 	inc.stats.EdgesAdded += int64(inc.h.NumEdges() - before)
 	return nil
 }
 
-// runProbes feeds every violation edge the pinned row introduces into the
-// sink. It only reads table and index state, so concurrent invocations
-// against distinct sinks are safe while writes are frozen.
-func runProbes(sink edgeSink, probes []probe, pin *pinnedRow, stats *DetectStats) error {
-	for _, p := range probes {
-		if p.fd != nil {
-			probeFD(sink, p.fd, pin, stats)
-			continue
-		}
-		if err := p.prog.enumerate(sink, stats, pin); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // probeFD adds the FD-violation edges the pinned row introduces: every
 // live row sharing its LHS group but disagreeing on the RHS, under the
 // same NULL semantics as detectFD.
-func probeFD(sink edgeSink, p *fdPlan, pin *pinnedRow, stats *DetectStats) {
+func probeFD(h *Hypergraph, p *fdPlan, pin *pinnedRow, stats *DetectStats) {
 	if anyNull(pin.Row, p.lhs) {
 		return
 	}
@@ -187,7 +157,7 @@ func probeFD(sink edgeSink, p *fdPlan, pin *pinnedRow, stats *DetectStats) {
 		}
 		stats.Combinations++
 		if fdViolates(pin.Row, row, p.rhs) {
-			sink.AddEdge([]Vertex{{Rel: p.rel, Row: pin.ID}, {Rel: p.rel, Row: id}}, p.label)
+			h.AddEdge([]Vertex{{Rel: p.rel, Row: pin.ID}, {Rel: p.rel, Row: id}}, p.label)
 		}
 	}
 }

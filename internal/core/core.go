@@ -111,7 +111,6 @@ type Stats struct {
 	ProverMode   ProverMode
 	Epoch        uint64 // epoch of the query view the run was served from
 	Workers      int    // certification worker-pool size used
-	Shards       int    // certification shards (K) of the serving system
 	QueryPlan    string // formatted input plan
 	EnvelopePlan string // formatted envelope plan
 	// JoinOrder is the planner-chosen base-relation access order of the
@@ -152,11 +151,10 @@ type MaintenanceStats struct {
 	ViewsPublished int64 // query views published (== current epoch)
 	ViewsReclaimed int64 // retired views dropped after their last unpin
 	SlabsReclaimed int64 // storage slabs uniquely retired by those views
-	// Migrations counts components moved between certification shards by
-	// cross-shard merges; ShardReclaims counts emptied shards whose state
-	// was released. Both stay 0 in the unsharded (K=1) configuration.
-	Migrations    int64
-	ShardReclaims int64
+	// Migrations is always 0: the hypergraph is one unsharded graph, so no
+	// component ever moves. The field stays so existing readers of
+	// MaintenanceStats keep compiling.
+	Migrations int64
 	// EagerFolds is always 0: views are published only by the reader that
 	// finds the published view stale, never in the background. The field
 	// stays so existing readers of MaintenanceStats keep compiling.
@@ -177,8 +175,6 @@ func (m MaintenanceStats) Sub(o MaintenanceStats) MaintenanceStats {
 		ViewsPublished:   m.ViewsPublished - o.ViewsPublished,
 		ViewsReclaimed:   m.ViewsReclaimed - o.ViewsReclaimed,
 		SlabsReclaimed:   m.SlabsReclaimed - o.SlabsReclaimed,
-		Migrations:       m.Migrations - o.Migrations,
-		ShardReclaims:    m.ShardReclaims - o.ShardReclaims,
 		PendingOverflows: m.PendingOverflows - o.PendingOverflows,
 		Cache:            m.Cache.Sub(o.Cache),
 	}
@@ -189,12 +185,11 @@ func (m MaintenanceStats) Sub(o MaintenanceStats) MaintenanceStats {
 type queryView struct {
 	epoch      uint64
 	snap       *engine.Snapshot
-	hg         *conflict.ShardedSnapshot
+	hg         *conflict.HypergraphSnapshot
 	ti         *conflict.TupleIndex
 	detStats   conflict.DetectStats
 	graphStats conflict.Stats
 	maint      MaintenanceStats
-	shards     int
 }
 
 // retiredView is a replaced view still pinned by at least one Snapshot,
@@ -224,17 +219,11 @@ type System struct {
 	// mu serializes view publication and guards the analysis state below.
 	mu          sync.RWMutex
 	constraints []constraint.Constraint
-	hg          *conflict.ShardedHypergraph
-	// shards is the certification-plane shard count K, fixed at system
-	// creation. K = 1 (the default) delegates every operation to a single
-	// Hypergraph and drains deltas sequentially — bit-identical to the
-	// pre-shard path; K > 1 partitions the hypergraph by connected
-	// component and drains in parallel.
-	shards   int
-	inc      *conflict.IncrementalDetector
-	detStats conflict.DetectStats
-	epoch    uint64
-	maint    MaintenanceStats
+	hg          *conflict.Hypergraph
+	inc         *conflict.IncrementalDetector
+	detStats    conflict.DetectStats
+	epoch       uint64
+	maint       MaintenanceStats
 
 	// qmu guards the delta queue shared with the engine's change feed.
 	// Writers only ever take qmu (never mu), so DML is never blocked
@@ -293,31 +282,11 @@ type errBox struct{ err error }
 // NewSystem creates a Hippo system over db with the given constraints and
 // subscribes it to db's change feed. Call Analyze (or let the first query
 // trigger it) before querying, and Close when discarding the system while
-// the database lives on. The certification plane is unsharded (K = 1);
-// use NewSystemShards for component-sharded parallel certification.
+// the database lives on.
 func NewSystem(db *engine.DB, cs []constraint.Constraint) *System {
-	return NewSystemShards(db, cs, 1)
-}
-
-// MaxShards bounds the certification shard count: component ids route as
-// id % K, and beyond a small K the per-vertex shard probes outweigh any
-// drain parallelism on realistic component size distributions.
-const MaxShards = 16
-
-// NewSystemShards is NewSystem with the certification plane partitioned
-// into K component shards (clamped to [1, MaxShards]). K = 1 is
-// bit-identical to NewSystem.
-func NewSystemShards(db *engine.DB, cs []constraint.Constraint, shards int) *System {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > MaxShards {
-		shards = MaxShards
-	}
 	s := &System{
 		db:          db,
 		constraints: cs,
-		shards:      shards,
 		pins:        make(map[uint64]int),
 		vcache:      verdictcache.New(0),
 		tiers:       cqaplan.NewCache(),
@@ -325,20 +294,6 @@ func NewSystemShards(db *engine.DB, cs []constraint.Constraint, shards int) *Sys
 	s.stale.Store(true)
 	db.AddListener(s)
 	return s
-}
-
-// Shards returns the certification-plane shard count K.
-func (s *System) Shards() int { return s.shards }
-
-// ShardStats reports the live per-shard hypergraph sizes (empty before the
-// first analysis).
-func (s *System) ShardStats() []conflict.ShardInfo {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.hg == nil {
-		return nil
-	}
-	return s.hg.ShardStats()
 }
 
 // Close unsubscribes the system from the database's change feed, drops
@@ -467,8 +422,7 @@ func (s *System) DataChanged(table string, ch storage.Change) {
 // DataBatch queues a committed batch's coalesced change feed in one lock
 // acquisition. It implements engine.BatchListener: the engine hands whole
 // batches here instead of row by row, so a bulk load reaches the next
-// drain — and, with K > 1, the parallel fold — as one contiguous run of
-// deltas.
+// drain as one contiguous run of deltas.
 func (s *System) DataBatch(changes []storage.TableChange) {
 	s.qmu.Lock()
 	if s.analyzed && !s.needFull {
@@ -540,14 +494,11 @@ func (s *System) analyzeFullFrozen() error {
 	if err != nil {
 		return err
 	}
-	// K = 1 adopts the detected graph in place; K > 1 repartitions it by
-	// connected component.
-	sh := conflict.ShardHypergraph(h, s.shards)
-	inc, err := conflict.NewIncrementalDetector(s.db, sh, s.constraints)
+	inc, err := conflict.NewIncrementalDetector(s.db, h, s.constraints)
 	if err != nil {
 		return err
 	}
-	s.hg, s.inc, s.detStats = sh, inc, st
+	s.hg, s.inc, s.detStats = h, inc, st
 	s.maint.FullRebuilds++
 	s.qmu.Lock()
 	s.analyzed, s.needFull = true, false
@@ -560,7 +511,7 @@ func (s *System) analyzeFullFrozen() error {
 // graph is mutated in place by later delta drains; callers that keep it
 // across queries running concurrently with DML should use a Snapshot
 // instead.
-func (s *System) Hypergraph() conflict.Graph {
+func (s *System) Hypergraph() *conflict.Hypergraph {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.hg == nil {
@@ -690,8 +641,6 @@ func (s *System) refreshViewLocked() (*queryView, error) {
 	}
 	s.maint.Cache = s.vcache.Stats()
 	s.maint.ViewsPublished++
-	s.maint.Migrations = s.hg.Migrations()
-	s.maint.ShardReclaims = s.hg.Reclamations()
 	s.maint.PendingOverflows = s.overflows.Load()
 	v := &queryView{
 		epoch:      s.epoch,
@@ -700,7 +649,6 @@ func (s *System) refreshViewLocked() (*queryView, error) {
 		ti:         conflict.NewSnapshotTupleIndex(snap.Tables()),
 		detStats:   s.detStats,
 		graphStats: hgSnap.Stats(),
-		shards:     s.shards,
 	}
 	if old := s.view.Load(); old != nil {
 		s.retireLocked(old, v)
@@ -739,22 +687,13 @@ func (s *System) cacheInvalidationsFrozen(pending []conflict.Delta, log *conflic
 
 // applyDeltasFrozen folds queued deltas into the hypergraph; a probe
 // failure falls back to a full rescan rather than serving wrong answers.
-// The caller holds mu and the engine write freeze. With K=1 this is the
-// original sequential fold, statement by statement — bit-identical to the
-// pre-shard drain. With K>1 the batch goes through the three-phase
-// parallel pipeline (read-only probes fan out, routing is sequential,
-// per-shard application runs concurrently with no shared locks).
+// The caller holds mu and the engine write freeze. Deltas fold in
+// statement order.
 func (s *System) applyDeltasFrozen(pending []conflict.Delta) error {
 	before := s.inc.Stats()
-	if s.shards > 1 {
-		if err := s.inc.FoldBatch(s.hg, pending, runtime.GOMAXPROCS(0)); err != nil {
+	for _, d := range pending {
+		if err := s.inc.Apply(d); err != nil {
 			return s.analyzeFullFrozen()
-		}
-	} else {
-		for _, d := range pending {
-			if err := s.inc.Apply(d); err != nil {
-				return s.analyzeFullFrozen()
-			}
 		}
 	}
 	s.maint.IncrementalStats.Add(s.inc.Stats().Sub(before))
@@ -947,7 +886,6 @@ func (s *System) runQueryViewBound(ctx context.Context, v *queryView, plan ra.No
 		GraphStats:  v.graphStats,
 		Maintenance: v.maint,
 		Epoch:       v.epoch,
-		Shards:      v.shards,
 		QueryPlan:   ra.Format(plan),
 	}
 	queriesBefore := s.db.QueryCount()
@@ -1302,17 +1240,17 @@ func FormatStats(st *Stats) string {
 	return fmt.Sprintf(
 		"tier=%s classify=%v fallback=%v reasons=%s\n"+
 			"tier-totals: rewrite=%d hybrid=%d prover=%d fallbacks=%d\n"+
-			"mode=%s candidates=%d answers=%d workers=%d shards=%d epoch=%d\n"+
+			"mode=%s candidates=%d answers=%d workers=%d epoch=%d\n"+
 			"planner: join-order=%s peak-intermediate-rows=%d\n"+
 			"envelope=%v evaluation=%v prover=%v total=%v\n"+
 			"membership-checks=%d disjuncts=%d blocker-choices=%d engine-queries=%d\n"+
 			"hypergraph: edges=%d conflicting-tuples=%d max-degree=%d components=%d max-component=%d\n"+
 			"verdict-cache: hits=%d misses=%d entries=%d invalidated=%d\n"+
-			"maintenance: deltas=%d edges+%d edges-%d full-rebuilds=%d migrations=%d shard-reclaims=%d overflows=%d\n"+
+			"maintenance: deltas=%d edges+%d edges-%d full-rebuilds=%d overflows=%d\n"+
 			"snapshots: published=%d reclaimed=%d slabs-reclaimed=%d",
 		st.Strategy, st.Classify, st.TierFallback, reasons,
 		st.Tiers.Rewrite, st.Tiers.Hybrid, st.Tiers.Prover, st.Tiers.Fallbacks,
-		st.ProverMode, st.Candidates, st.Answers, st.Workers, st.Shards, st.Epoch,
+		st.ProverMode, st.Candidates, st.Answers, st.Workers, st.Epoch,
 		order, st.PeakIntermediate,
 		st.Envelope, st.Evaluation, st.ProverTime, st.Total,
 		st.ProverStats.MembershipChecks, st.ProverStats.Disjuncts,
@@ -1323,7 +1261,6 @@ func FormatStats(st *Stats) string {
 		st.Maintenance.Cache.Entries, st.Maintenance.Cache.Invalidated,
 		st.Maintenance.DeltasApplied, st.Maintenance.EdgesAdded,
 		st.Maintenance.EdgesRemoved, st.Maintenance.FullRebuilds,
-		st.Maintenance.Migrations, st.Maintenance.ShardReclaims,
 		st.Maintenance.PendingOverflows,
 		st.Maintenance.ViewsPublished, st.Maintenance.ViewsReclaimed,
 		st.Maintenance.SlabsReclaimed)

@@ -50,11 +50,6 @@ type DurableOptions struct {
 	// WrapSyncer injects a fault wrapper around every durable file write
 	// (crash testing); see wal.Options.WrapSyncer.
 	WrapSyncer func(name string, s wal.Syncer) wal.Syncer
-	// Shards is the certification shard count K (see NewSystemShards).
-	// 0 and 1 select the unsharded configuration. Derived state is never
-	// logged, so K is purely a runtime choice: the same directory can be
-	// reopened with any shard count.
-	Shards int
 }
 
 // DefaultCheckpointBytes is the automatic checkpoint threshold when
@@ -90,7 +85,7 @@ func OpenDurable(o DurableOptions) (*System, error) {
 		st.Close()
 		return nil, err
 	}
-	sys := NewSystemShards(db, cs, o.Shards)
+	sys := NewSystem(db, cs)
 	sys.store = st
 	sys.ckptBytes = o.CheckpointBytes
 	if sys.ckptBytes == 0 {

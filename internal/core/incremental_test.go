@@ -14,7 +14,7 @@ import (
 // edgeSet canonicalizes a hypergraph's live edges as sorted vertex-set
 // strings (labels are excluded: when two constraints produce the same
 // vertex set, which label wins depends on discovery order).
-func edgeSet(h conflict.Graph) []string {
+func edgeSet(h *conflict.Hypergraph) []string {
 	edges := h.Edges()
 	out := make([]string, len(edges))
 	for i, e := range edges {

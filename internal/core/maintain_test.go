@@ -152,9 +152,9 @@ func TestMaintainStressPublishUnderRace(t *testing.T) {
 
 	db := engine.New()
 	mustExec(db, "CREATE TABLE emp (id INT, salary INT)")
-	s := NewSystemShards(db, []constraint.Constraint{
+	s := NewSystem(db, []constraint.Constraint{
 		constraint.FD{Rel: "emp", LHS: []string{"id"}, RHS: []string{"salary"}},
-	}, 2)
+	})
 	if _, err := s.Analyze(); err != nil {
 		t.Fatal(err)
 	}

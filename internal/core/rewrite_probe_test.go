@@ -116,104 +116,100 @@ func rewriteReference(t *testing.T, s *System, sn *Snapshot, q string) []string 
 }
 
 // TestRewriteTierDifferential drives randomized DML into the probe
-// instance at K=1 and K=2 and, between updates, checks every rewrite-tier
-// answer against two references: the decision's anti-join plan on the
-// same pinned snapshot (bag-equal) and the repair oracle (set-equal); the
-// prover tier must match the oracle as well.
+// instance and, between updates, checks every rewrite-tier answer against
+// two references: the decision's anti-join plan on the same pinned
+// snapshot (bag-equal) and the repair oracle (set-equal); the prover tier
+// must match the oracle as well.
 // Every run must be served by the rewrite tier, so a silent prover
 // fallback cannot pass. Two concurrent readers on the same snapshot must
 // agree with the sequential run (run under -race in CI).
 func TestRewriteTierDifferential(t *testing.T) {
-	for _, k := range []int{1, 2} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(20261016))
-			db := engine.New()
-			mustExec(db, "CREATE TABLE emp (id INT, dept INT, salary INT)")
-			mustExec(db, "CREATE TABLE dept (id INT, budget INT)")
-			mustExec(db, "CREATE TABLE ban (id INT, tag INT)")
-			mustExec(db, "CREATE TABLE gone (id INT, dept INT, salary INT)")
-			cs := probeConstraints(t)
-			sys := NewSystemShards(db, cs, k)
-			defer sys.Close()
+	rng := rand.New(rand.NewSource(20261016))
+	db := engine.New()
+	mustExec(db, "CREATE TABLE emp (id INT, dept INT, salary INT)")
+	mustExec(db, "CREATE TABLE dept (id INT, budget INT)")
+	mustExec(db, "CREATE TABLE ban (id INT, tag INT)")
+	mustExec(db, "CREATE TABLE gone (id INT, dept INT, salary INT)")
+	cs := probeConstraints(t)
+	sys := NewSystem(db, cs)
+	defer sys.Close()
 
-			oracleChecks := 0
-			for step := 1; step <= 80; step++ {
-				mustExec(db, randomProbeStmt(rng))
-				if step%4 != 0 {
-					continue
-				}
-				sn, err := sys.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Two readers run first, at once: they share the view's
-				// lazily built tuple index and its hypergraph.
-				nq := len(rewriteDiffQueries)
-				concurrent := make([][]string, 2*nq)
-				var wg sync.WaitGroup
-				for r := 0; r < 2; r++ {
-					wg.Add(1)
-					go func(r int) {
-						defer wg.Done()
-						for i, q := range rewriteDiffQueries {
-							res, _, err := sys.ConsistentQueryAt(sn, q, Options{})
-							if err != nil {
-								t.Errorf("concurrent %q: %v", q, err)
-								return
-							}
-							concurrent[r*nq+i] = rowStrings(res.Rows)
-						}
-					}(r)
-				}
-				wg.Wait()
-				o := &oracle.Oracle{DB: db, Constraints: cs}
-				_, oerr := o.Repairs()
+	oracleChecks := 0
+	for step := 1; step <= 80; step++ {
+		mustExec(db, randomProbeStmt(rng))
+		if step%4 != 0 {
+			continue
+		}
+		sn, err := sys.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two readers run first, at once: they share the view's
+		// lazily built tuple index and its hypergraph.
+		nq := len(rewriteDiffQueries)
+		concurrent := make([][]string, 2*nq)
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
 				for i, q := range rewriteDiffQueries {
-					res, st, err := sys.ConsistentQueryAt(sn, q, Options{})
+					res, _, err := sys.ConsistentQueryAt(sn, q, Options{})
 					if err != nil {
-						t.Fatalf("step %d %q: %v", step, q, err)
+						t.Errorf("concurrent %q: %v", q, err)
+						return
 					}
-					if st.Strategy != "rewrite" || st.TierFallback {
-						t.Fatalf("step %d %q: strategy %q fallback %v (reasons %v), want rewrite",
-							step, q, st.Strategy, st.TierFallback, st.TierReasons)
-					}
-					got := rowStrings(res.Rows)
-					ref := rewriteReference(t, sys, sn, q)
-					if strings.Join(got, "|") != strings.Join(ref, "|") {
-						t.Fatalf("step %d %q: probed answers %v != anti-join plan %v", step, q, got, ref)
-					}
-					for r := 0; r < 2; r++ {
-						if c := concurrent[r*nq+i]; strings.Join(c, "|") != strings.Join(got, "|") {
-							t.Fatalf("step %d %q: concurrent reader %d got %v, want %v", step, q, r, c, got)
-						}
-					}
-					if oerr != nil {
-						continue // too many conflicting tuples to enumerate
-					}
-					want, err := o.ConsistentAnswers(q)
-					if err != nil {
-						t.Fatalf("step %d: oracle %q: %v", step, q, err)
-					}
-					if g, w := dedup(got), dedup(tupleStrings(want)); fmt.Sprint(g) != fmt.Sprint(w) {
-						t.Fatalf("step %d %q: answers %v != oracle %v", step, q, g, w)
-					}
-					// The prover tier reads the same hypergraph and must
-					// agree too, NULLs included.
-					pres, _, err := sys.ConsistentQueryAt(sn, q, Options{Tier: TierForceProver})
-					if err != nil {
-						t.Fatalf("step %d prover %q: %v", step, q, err)
-					}
-					if g, w := dedup(rowStrings(pres.Rows)), dedup(tupleStrings(want)); fmt.Sprint(g) != fmt.Sprint(w) {
-						t.Fatalf("step %d %q: prover tier %v != oracle %v", step, q, g, w)
-					}
-					oracleChecks++
+					concurrent[r*nq+i] = rowStrings(res.Rows)
 				}
-				sn.Close()
+			}(r)
+		}
+		wg.Wait()
+		o := &oracle.Oracle{DB: db, Constraints: cs}
+		_, oerr := o.Repairs()
+		for i, q := range rewriteDiffQueries {
+			res, st, err := sys.ConsistentQueryAt(sn, q, Options{})
+			if err != nil {
+				t.Fatalf("step %d %q: %v", step, q, err)
 			}
-			if oracleChecks < 3*len(rewriteDiffQueries) {
-				t.Errorf("oracle checked only %d answers; the instance outgrew it", oracleChecks)
+			if st.Strategy != "rewrite" || st.TierFallback {
+				t.Fatalf("step %d %q: strategy %q fallback %v (reasons %v), want rewrite",
+					step, q, st.Strategy, st.TierFallback, st.TierReasons)
 			}
-		})
+			got := rowStrings(res.Rows)
+			ref := rewriteReference(t, sys, sn, q)
+			if strings.Join(got, "|") != strings.Join(ref, "|") {
+				t.Fatalf("step %d %q: probed answers %v != anti-join plan %v", step, q, got, ref)
+			}
+			for r := 0; r < 2; r++ {
+				if c := concurrent[r*nq+i]; strings.Join(c, "|") != strings.Join(got, "|") {
+					t.Fatalf("step %d %q: concurrent reader %d got %v, want %v", step, q, r, c, got)
+				}
+			}
+			if oerr != nil {
+				continue // too many conflicting tuples to enumerate
+			}
+			want, err := o.ConsistentAnswers(q)
+			if err != nil {
+				t.Fatalf("step %d: oracle %q: %v", step, q, err)
+			}
+			if g, w := dedup(got), dedup(tupleStrings(want)); fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Fatalf("step %d %q: answers %v != oracle %v", step, q, g, w)
+			}
+			// The prover tier reads the same hypergraph and must
+			// agree too, NULLs included.
+			pres, _, err := sys.ConsistentQueryAt(sn, q, Options{Tier: TierForceProver})
+			if err != nil {
+				t.Fatalf("step %d prover %q: %v", step, q, err)
+			}
+			if g, w := dedup(rowStrings(pres.Rows)), dedup(tupleStrings(want)); fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Fatalf("step %d %q: prover tier %v != oracle %v", step, q, g, w)
+			}
+			oracleChecks++
+		}
+		sn.Close()
+	}
+	if oracleChecks < 3*len(rewriteDiffQueries) {
+		t.Errorf("oracle checked only %d answers; the instance outgrew it", oracleChecks)
 	}
 }
 

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hippo/internal/constraint"
 	"hippo/internal/engine"
@@ -80,10 +82,15 @@ func (m *stressModel) answerKey() string {
 // and asserts snapshot monotonicity: every answer set equals the expected
 // answers after some prefix of the applied statements, and the prefix a
 // reader observes never moves backwards (epochs are monotone per reader).
-// Run under -race in CI.
+// The writer alternates single statements with two-statement batches, so
+// both the per-row and the batch change-feed paths feed the fold. After
+// Close, a goroutine-leak gate checks that nothing the readers, the writer
+// or the system started is still running. Run under -race in CI.
 func TestConcurrentServingPrefixConsistency(t *testing.T) {
 	const steps = 240
 	script, legal := stressScript(steps)
+
+	baseline := runtime.NumGoroutine()
 
 	db := engine.New()
 	mustExec(db, "CREATE TABLE log (gid INT, val INT)")
@@ -97,17 +104,31 @@ func TestConcurrentServingPrefixConsistency(t *testing.T) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Writer: one statement per step, in order.
+	// Writer: the script in order, as single statements and, where two
+	// inserts follow each other at every fifth step, as one ExecBatch.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(done)
-		for _, st := range script {
+		for i := 0; i < len(script); {
+			if i%5 == 0 && i+2 <= len(script) && script[i].insert && script[i+1].insert {
+				if _, err := db.ExecBatch([]string{
+					fmt.Sprintf("INSERT INTO log VALUES (%d, %d)", script[i].gid, script[i].val),
+					fmt.Sprintf("INSERT INTO log VALUES (%d, %d)", script[i+1].gid, script[i+1].val),
+				}); err != nil {
+					t.Errorf("batch: %v", err)
+					return
+				}
+				i += 2
+				continue
+			}
+			st := script[i]
 			if st.insert {
 				mustExec(db, fmt.Sprintf("INSERT INTO log VALUES (%d, %d)", st.gid, st.val))
 			} else {
 				mustExec(db, fmt.Sprintf("DELETE FROM log WHERE gid = %d AND val = %d", st.gid, st.val))
 			}
+			i++
 		}
 	}()
 
@@ -206,5 +227,24 @@ func TestConcurrentServingPrefixConsistency(t *testing.T) {
 		if key != want {
 			t.Fatalf("final answers %q != expected full-sequence answers %q", key, want)
 		}
+	}
+	if m := s.Maintenance(); m.FullRebuilds != 1 {
+		t.Errorf("ran %d full rebuilds, want 1 (the initial analysis)", m.FullRebuilds)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Goroutine-leak gate: the count must settle back to the pre-test
+	// baseline (runtime helpers may take a moment to park).
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutine leak after shutdown: %d running, baseline %d\n%s",
+				runtime.NumGoroutine(), baseline, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

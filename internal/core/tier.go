@@ -259,12 +259,12 @@ func residueRelation(n ra.Node) (string, error) {
 // conflictFilter keeps the rows of one base relation whose tuples are
 // vertices of no hyperedge in the view's conflict hypergraph. Its input
 // reads the same view's snapshot, so rows and probes describe one cut
-// under concurrent writes and at any shard count.
+// under concurrent writes.
 type conflictFilter struct {
 	child ra.Node
 	rel   string
 	ti    *conflict.TupleIndex
-	g     conflict.Graph
+	g     *conflict.Hypergraph
 }
 
 func newConflictFilter(child ra.Node, rel string, v *queryView) *conflictFilter {

@@ -40,8 +40,7 @@ type ChangeListener interface {
 // BatchListener is an optional extension of ChangeListener. A listener
 // that also implements it receives each committed batch's coalesced change
 // feed as one DataBatch call instead of per-row DataChanged calls, so it
-// can route the whole batch at once — the Hippo core feeds batches through
-// the sharded parallel fold this way. Single-statement writes still arrive
+// can queue the whole batch at once. Single-statement writes still arrive
 // via DataChanged. The same delivery guarantees apply: the write sequencer
 // is held, changes are in mutation order, and the listener may read but
 // not write.

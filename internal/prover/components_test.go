@@ -29,9 +29,8 @@ func multiCompSetup(t *testing.T, k int) (*engine.DB, *conflict.Hypergraph, *con
 }
 
 // TestComponentDecompositionMatchesGlobal certifies every candidate of a
-// certification-heavy difference query three ways — component-scoped,
-// component-scoped with a parallel pool, and the global baseline — and
-// requires identical verdicts.
+// certification-heavy difference query two ways — component-scoped and
+// the global baseline — and requires identical verdicts.
 func TestComponentDecompositionMatchesGlobal(t *testing.T) {
 	db, h, ti := multiCompSetup(t, 6)
 	if h.NumComponents() != 6 {
@@ -49,26 +48,23 @@ func TestComponentDecompositionMatchesGlobal(t *testing.T) {
 	for _, sql := range queries {
 		for _, tup := range rows.Rows {
 			comp := New(h, IndexedMembership{TI: ti})
-			par := New(h, IndexedMembership{TI: ti})
-			par.Pool = make(chan struct{}, 4)
 			global := New(h, IndexedMembership{TI: ti})
 			global.DisableComponents = true
 			a := checkTuple(t, comp, db, sql, tup)
-			b := checkTuple(t, par, db, sql, tup)
 			c := checkTuple(t, global, db, sql, tup)
-			if a != c || b != c {
-				t.Fatalf("%q tuple %v: component=%v parallel=%v global=%v", sql, tup, a, b, c)
+			if a != c {
+				t.Fatalf("%q tuple %v: component=%v global=%v", sql, tup, a, c)
 			}
 		}
 	}
 }
 
-// TestParallelComponentsExercised checks that a multi-component disjunct
-// actually fans out when pool tokens are available. Negating a UNION
-// yields one disjunct with a negative atom per branch; with the branches
-// over separately-conflicting relations, those atoms land in distinct
-// components.
-func TestParallelComponentsExercised(t *testing.T) {
+// TestMultiComponentDisjunct checks that a disjunct spanning two conflict
+// components is searched once per component and agrees with the global
+// search. Negating a UNION yields one disjunct with a negative atom per
+// branch; with the branches over separately-conflicting relations, those
+// atoms land in distinct components.
+func TestMultiComponentDisjunct(t *testing.T) {
 	db := engine.New()
 	mustExec(db, "CREATE TABLE emp (id INT, salary INT)")
 	mustExec(db, "CREATE TABLE mgr (id INT, salary INT)")
@@ -86,7 +82,6 @@ func TestParallelComponentsExercised(t *testing.T) {
 		t.Fatalf("setup produced %d components, want 2", h.NumComponents())
 	}
 	p := New(h, IndexedMembership{TI: ti})
-	p.Pool = make(chan struct{}, 4)
 	global := New(h, IndexedMembership{TI: ti})
 	global.DisableComponents = true
 	// (1,100) is in both relations and conflicting in both: refuting it
@@ -95,13 +90,10 @@ func TestParallelComponentsExercised(t *testing.T) {
 	got := checkTuple(t, p, db, sql, ints(1, 100))
 	want := checkTuple(t, global, db, sql, ints(1, 100))
 	if got != want {
-		t.Fatalf("parallel=%v global=%v", got, want)
+		t.Fatalf("component=%v global=%v", got, want)
 	}
-	if p.Stats.Components == 0 {
-		t.Fatal("no component sub-searches recorded")
-	}
-	if p.Stats.ParallelComps == 0 {
-		t.Fatal("no sub-search ever ran on a pool token")
+	if p.Stats.Components != 2 {
+		t.Fatalf("component sub-searches = %d, want 2", p.Stats.Components)
 	}
 }
 

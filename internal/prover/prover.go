@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"hippo/internal/conflict"
 	"hippo/internal/engine"
@@ -95,7 +94,6 @@ type Stats struct {
 	BlockerChoices   int64 // blocking-edge assignments explored
 	Pruned           int64 // DFS branches cut by early independence checks
 	Components       int64 // per-component sub-searches solved
-	ParallelComps    int64 // sub-searches run concurrently on a pool token
 }
 
 // Add accumulates o into s; the core uses it to merge per-worker counters
@@ -107,7 +105,6 @@ func (s *Stats) Add(o Stats) {
 	s.BlockerChoices += o.BlockerChoices
 	s.Pruned += o.Pruned
 	s.Components += o.Components
-	s.ParallelComps += o.ParallelComps
 }
 
 // Deps lists everything a certification verdict depended on, for precise
@@ -135,12 +132,9 @@ type depTracker struct {
 	comps map[uint64]uint64 // component id -> fingerprint
 }
 
-// Prover checks candidate tuples against the conflict hypergraph. H is
-// the shard-boundary interface: a plain *conflict.Hypergraph or a
-// component-sharded *conflict.ShardedHypergraph — every read the blocker
-// search issues resolves within one component, hence within one shard.
+// Prover checks candidate tuples against the conflict hypergraph H.
 type Prover struct {
-	H      conflict.Graph
+	H      *conflict.Hypergraph
 	Member Membership
 	// DisablePruning delays independence checking to complete blocker
 	// assignments (the ablation in BenchmarkAblationPruning).
@@ -149,20 +143,14 @@ type Prover struct {
 	// over all negative atoms jointly (the pre-decomposition architecture,
 	// kept as the reference for differential testing).
 	DisableComponents bool
-	// Pool, when non-nil, is a shared token semaphore: a disjunct whose
-	// atoms span several conflict components runs the per-component
-	// sub-searches concurrently, one borrowed token per extra goroutine.
-	// Acquisition never blocks — without a free token the sub-search runs
-	// inline — so sharing the core's certification pool cannot deadlock.
-	Pool chan struct{}
 
 	deps  *depTracker
 	Stats Stats
 }
 
-// New creates a prover over a conflict graph with the given membership
-// source.
-func New(h conflict.Graph, m Membership) *Prover {
+// New creates a prover over a conflict hypergraph with the given
+// membership source.
+func New(h *conflict.Hypergraph, m Membership) *Prover {
 	return &Prover{H: h, Member: m}
 }
 
@@ -231,8 +219,7 @@ func (p *Prover) IsConsistent(f Formula) (bool, error) {
 // over the connected components of the resolved vertices: blockers and
 // independence checks for atoms in different components never interact,
 // so each component is searched on its own — cost exponential only in the
-// largest component, never in the whole disjunct — and independent
-// components can be searched in parallel (see Pool).
+// largest component, never in the whole disjunct.
 func (p *Prover) SatisfiableInSomeRepair(d Disjunct) (bool, error) {
 	if p.DisableComponents {
 		return p.satisfiableGlobal(d)
@@ -240,9 +227,6 @@ func (p *Prover) SatisfiableInSomeRepair(d Disjunct) (bool, error) {
 	groups, nset, live, err := p.resolveDisjunct(d)
 	if err != nil || !live {
 		return false, err
-	}
-	if p.Pool != nil && len(groups) > 1 {
-		return p.solveComponentsParallel(groups, nset)
 	}
 	for i := range groups {
 		ok, err := p.solveComponent(&groups[i].compTask, nset)
@@ -352,55 +336,6 @@ func (p *Prover) solveComponent(tk *compTask, nset conflict.VertexSet) (bool, er
 	// Cheapest-first ordering shrinks the search tree.
 	sortByLen(blockers)
 	return p.assignBlockers(s, nset, blockers, 0)
-}
-
-// solveComponentsParallel fans the per-component sub-searches out over the
-// shared pool: each extra goroutine borrows one token (non-blocking — the
-// leftovers run inline), solves on a private sub-prover, and the counters
-// merge afterwards. All components must be satisfiable.
-func (p *Prover) solveComponentsParallel(groups []compGroup, nset conflict.VertexSet) (bool, error) {
-	results := make([]bool, len(groups))
-	errs := make([]error, len(groups))
-	subs := make([]*Prover, len(groups))
-	var wg sync.WaitGroup
-	var inline []int
-	for i := range groups {
-		select {
-		case p.Pool <- struct{}{}:
-			sub := &Prover{H: p.H, Member: p.Member, DisablePruning: p.DisablePruning}
-			subs[i] = sub
-			p.Stats.ParallelComps++
-			wg.Add(1)
-			go func(i int, tk *compTask) {
-				defer wg.Done()
-				defer func() { <-p.Pool }()
-				results[i], errs[i] = sub.solveComponent(tk, nset)
-			}(i, &groups[i].compTask)
-		default:
-			inline = append(inline, i)
-		}
-	}
-	for _, i := range inline {
-		results[i], errs[i] = p.solveComponent(&groups[i].compTask, nset)
-		if errs[i] != nil || !results[i] {
-			break // one refuted component refutes the disjunct; skip the rest
-		}
-	}
-	wg.Wait()
-	for i := range groups {
-		if subs[i] != nil {
-			p.Stats.Add(subs[i].Stats)
-		}
-		if errs[i] != nil {
-			return false, errs[i]
-		}
-	}
-	for _, ok := range results {
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // satisfiableGlobal is the pre-decomposition search: one blocker

@@ -37,7 +37,7 @@ type Source interface {
 // hypergraph. It only reads DB and H.
 type Enumerator struct {
 	DB Source
-	H  conflict.Graph
+	H  *conflict.Hypergraph
 	// Limit caps the number of repairs (DefaultLimit when zero).
 	Limit int
 }

@@ -84,11 +84,6 @@ type statsResponse struct {
 	ViewsPublished int64  `json:"views_published"`
 	ViewsReclaimed int64  `json:"views_reclaimed"`
 	SlabsReclaimed int64  `json:"slabs_reclaimed"`
-	// Certification sharding (K=1 reports shards=1, no shard list).
-	Shards        int         `json:"shards"`
-	Migrations    int64       `json:"migrations,omitempty"`
-	ShardReclaims int64       `json:"shard_reclaims,omitempty"`
-	ShardSizes    []shardWire `json:"shard_sizes,omitempty"`
 	// Lifetime counts of consistent queries answered per planner tier.
 	TierRewrite   int64 `json:"tier_rewrite"`
 	TierHybrid    int64 `json:"tier_hybrid"`
@@ -100,14 +95,6 @@ type statsResponse struct {
 	PendingOverflows int64  `json:"pending_overflows,omitempty"`
 	MaintenanceError string `json:"maintenance_error,omitempty"`
 	Version          string `json:"version"`
-}
-
-// shardWire is one certification shard's size on the wire.
-type shardWire struct {
-	Shard      int `json:"shard"`
-	Edges      int `json:"edges"`
-	Components int `json:"components"`
-	Vertices   int `json:"vertices"`
 }
 
 type errBody struct {
@@ -425,9 +412,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ViewsPublished:   m.ViewsPublished,
 		ViewsReclaimed:   m.ViewsReclaimed,
 		SlabsReclaimed:   m.SlabsReclaimed,
-		Shards:           sys.Shards(),
-		Migrations:       m.Migrations,
-		ShardReclaims:    m.ShardReclaims,
 		PendingOverflows: m.PendingOverflows,
 		Version:          hippo.Version,
 	}
@@ -437,16 +421,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	tc := s.db.TierCounts()
 	resp.TierRewrite, resp.TierHybrid = tc.Rewrite, tc.Hybrid
 	resp.TierProver, resp.TierFallbacks = tc.Prover, tc.Fallbacks
-	if resp.Shards > 1 {
-		for _, si := range sys.ShardStats() {
-			resp.ShardSizes = append(resp.ShardSizes, shardWire{
-				Shard:      si.Shard,
-				Edges:      si.Edges,
-				Components: si.Components,
-				Vertices:   si.Vertices,
-			})
-		}
-	}
 	if resp.Durable {
 		resp.WALBytes = sys.WALBytes()
 	}
