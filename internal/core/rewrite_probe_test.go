@@ -121,9 +121,16 @@ func rewriteReference(t *testing.T, s *System, sn *Snapshot, q string) []string 
 // snapshot (bag-equal) and the repair oracle (set-equal); the prover tier
 // must match the oracle as well.
 // Every run must be served by the rewrite tier, so a silent prover
-// fallback cannot pass. Two concurrent readers on the same snapshot must
-// agree with the sequential run (run under -race in CI).
+// fallback cannot pass. Before the sequential run, k readers query the same
+// snapshot at once and must agree with it: k=1 builds the view's lazy tuple
+// index alone, k=2 races two readers on it (run under -race in CI).
 func TestRewriteTierDifferential(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { rewriteTierDifferential(t, k) })
+	}
+}
+
+func rewriteTierDifferential(t *testing.T, readers int) {
 	rng := rand.New(rand.NewSource(20261016))
 	db := engine.New()
 	mustExec(db, "CREATE TABLE emp (id INT, dept INT, salary INT)")
@@ -144,12 +151,12 @@ func TestRewriteTierDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Two readers run first, at once: they share the view's
+		// The readers run first, at once: they share the view's
 		// lazily built tuple index and its hypergraph.
 		nq := len(rewriteDiffQueries)
-		concurrent := make([][]string, 2*nq)
+		concurrent := make([][]string, readers*nq)
 		var wg sync.WaitGroup
-		for r := 0; r < 2; r++ {
+		for r := 0; r < readers; r++ {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
@@ -180,7 +187,7 @@ func TestRewriteTierDifferential(t *testing.T) {
 			if strings.Join(got, "|") != strings.Join(ref, "|") {
 				t.Fatalf("step %d %q: probed answers %v != anti-join plan %v", step, q, got, ref)
 			}
-			for r := 0; r < 2; r++ {
+			for r := 0; r < readers; r++ {
 				if c := concurrent[r*nq+i]; strings.Join(c, "|") != strings.Join(got, "|") {
 					t.Fatalf("step %d %q: concurrent reader %d got %v, want %v", step, q, r, c, got)
 				}
