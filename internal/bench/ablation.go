@@ -72,7 +72,7 @@ func AblationPruning(sc Scale) (Table, error) {
 	}
 	const q = "SELECT * FROM ra UNION SELECT * FROM rb EXCEPT SELECT * FROM ra WHERE val = 0"
 	for _, disable := range []bool{false, true} {
-		st, d, err := timeConsistent(sys, q, core.Options{DisablePruning: disable, Tier: core.TierForceProver}, sc.Reps)
+		st, d, err := timeConsistent(sys, q, core.Options{DisablePruning: disable, Tier: core.TierForceProver, DisableVerdictCache: true}, sc.Reps)
 		if err != nil {
 			return t, err
 		}

@@ -204,7 +204,7 @@ func compare(sys *core.System, sql string, reps int) (CompareRun, error) {
 		}
 	}
 
-	st, d, err := timeConsistent(sys, sql, core.Options{Tier: core.TierForceProver}, reps)
+	st, d, err := timeConsistent(sys, sql, core.Options{Tier: core.TierForceProver, DisableVerdictCache: true}, reps)
 	if err != nil {
 		return out, err
 	}

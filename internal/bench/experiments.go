@@ -301,7 +301,7 @@ func E6ProverModes(sc Scale) (Table, error) {
 		return t, err
 	}
 	for _, mode := range []core.ProverMode{core.ProverNaive, core.ProverIndexed} {
-		st, d, err := timeConsistent(sys, differenceQuery, core.Options{Mode: mode, Tier: core.TierForceProver}, sc.Reps)
+		st, d, err := timeConsistent(sys, differenceQuery, core.Options{Mode: mode, Tier: core.TierForceProver, DisableVerdictCache: true}, sc.Reps)
 		if err != nil {
 			return t, err
 		}

@@ -299,8 +299,7 @@ func NewSystem(db *engine.DB, cs []constraint.Constraint) *System {
 // Close unsubscribes the system from the database's change feed, drops
 // any queued deltas, and — for durable systems — stops the automatic
 // checkpointer (letting it take a final checkpoint if one is due),
-// detaches the commit log (stopping the engine's commit worker), and
-// seals the WAL. An automatic-checkpoint
+// detaches the commit log, and seals the WAL. An automatic-checkpoint
 // failure nobody collected yet is returned here rather than dropped.
 // Close is idempotent; the system must not be queried afterwards.
 func (s *System) Close() error {

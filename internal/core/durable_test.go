@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"hippo/internal/constraint"
@@ -349,5 +350,123 @@ func TestRecoveryRolledBackBatchIsInvisible(t *testing.T) {
 	defer recovered.Close()
 	if diff := statesEqual(before, captureState(t, recovered)); diff != "" {
 		t.Fatalf("state diverged across restart: %s", diff)
+	}
+}
+
+// TestDurableConcurrentConstraintAndWrites covers the one pair of WAL
+// appends the engine's write sequencer does not order: AddConstraint logs
+// under the system lock, not the sequencer, so its records interleave
+// with concurrent DML and batch commits. After a clean Close and reopen,
+// the recovered tables (RowID-exact), answers and conflict components
+// must equal the pre-close state, and the recovered constraints the
+// registered ones in registration order.
+func TestDurableConcurrentConstraintAndWrites(t *testing.T) {
+	const (
+		writers   = 3
+		perWriter = 30
+	)
+	dir := t.TempDir()
+	sys, err := OpenDurable(DurableOptions{Dir: dir, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := sys.DB()
+	for _, q := range []string{
+		"CREATE TABLE emp (id INT, salary INT)",
+		"CREATE TABLE dept (d INT, mgr INT)",
+	} {
+		if _, _, err := db.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var constraints []constraint.Constraint
+	for _, s := range []string{
+		"emp: id -> salary",
+		"dept: d -> mgr",
+		"emp: salary -> id",
+		"dept: mgr -> d",
+	} {
+		fd, err := constraint.ParseFD(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		constraints = append(constraints, fd)
+	}
+	for _, s := range []string{
+		"emp a WHERE a.salary < 0",
+		"emp a, dept b WHERE a.id = b.mgr AND a.salary > b.d",
+		"dept a, dept b WHERE a.d = b.d AND a.mgr <> b.mgr",
+	} {
+		den, err := constraint.ParseDenial(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		constraints = append(constraints, den)
+	}
+
+	errs := make(chan error, writers+1)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id := w*1000 + i
+				var err error
+				switch i % 3 {
+				case 0:
+					_, _, err = db.Exec(fmt.Sprintf("INSERT INTO emp VALUES (%d, %d)", id, i))
+				case 1:
+					_, err = db.ExecBatch([]string{
+						fmt.Sprintf("INSERT INTO dept VALUES (%d, %d)", id, w),
+						fmt.Sprintf("INSERT INTO emp VALUES (%d, %d)", id, -i),
+						fmt.Sprintf("DELETE FROM emp WHERE id = %d", id-1),
+					})
+				default:
+					_, _, err = db.Exec(fmt.Sprintf("DELETE FROM dept WHERE d = %d", id-1))
+				}
+				if err != nil {
+					errs <- fmt.Errorf("writer %d op %d: %w", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, c := range constraints {
+			if err := sys.AddConstraint(c); err != nil {
+				errs <- fmt.Errorf("add %s: %w", c, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	want := captureState(t, sys)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := OpenDurable(DurableOptions{Dir: dir, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if diff := statesEqual(want, captureState(t, recovered)); diff != "" {
+		t.Fatalf("recovered state differs: %s", diff)
+	}
+	got := recovered.Constraints()
+	if len(got) != len(constraints) {
+		t.Fatalf("recovered %d constraints, registered %d", len(got), len(constraints))
+	}
+	for i, c := range constraints {
+		if got[i].String() != c.String() {
+			t.Fatalf("constraint %d recovered as %s, registered %s", i, got[i], c)
+		}
 	}
 }

@@ -16,10 +16,9 @@ import (
 // sequencer. A batch is therefore atomic on disk exactly when it is
 // atomic in published views, and an append failure turns into an error on
 // the write call (with the in-memory effects rolled back) rather than a
-// silent loss of durability. A log that also implements GroupCommitLog
-// (internal/wal.Store does) gets the async commit pipeline: the fsync
-// wait moves off the sequencer so concurrent committers share group
-// fsyncs; a plain CommitLog keeps the inline synchronous path.
+// silent loss of durability. The append and its fsync run under the
+// write sequencer, so log order is commit order. internal/wal.Store
+// implements it.
 type CommitLog interface {
 	// AppendBatch durably logs one committed atomic batch: the coalesced
 	// change feed of a group commit or of a single DML statement.
@@ -29,23 +28,19 @@ type CommitLog interface {
 }
 
 // SetCommitLog attaches (or, with nil, detaches) the durability hook. It
-// waits for in-flight writes and drains the async commit pipeline, so
-// recovery can replay into the database and only then start logging new
-// commits; detaching also stops the pipeline's commit-worker goroutine.
+// waits for in-flight writes, so recovery can replay into the database
+// and only then start logging new commits.
 func (db *DB) SetCommitLog(l CommitLog) {
-	db.lockExclusive()
+	db.wseq.Lock()
 	defer db.wseq.Unlock()
 	db.clog = l
-	if l == nil {
-		db.stopCommitWorker()
-	}
 }
 
 // AdoptTable registers a checkpoint-restored table and subscribes it to
 // the change feed. Recovery-only: the caller guarantees no listener or
 // commit log is attached yet, so adoption is silent.
 func (db *DB) AdoptTable(t *storage.Table) error {
-	db.lockExclusive()
+	db.wseq.Lock()
 	defer db.wseq.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -91,8 +86,7 @@ func typeName(k value.Kind) string {
 // delivered too — mirroring exactly what the in-memory tables now hold —
 // but if the log itself fails, the statement's effects are rolled back and
 // the write reports the durability error. The caller holds the write
-// sequencer; execLogged releases it (via commitRelease) so the fsync wait
-// overlaps with other committers.
+// sequencer; execLogged releases it.
 func (db *DB) execLogged(run func(feed *[]storage.TableChange) (int, error)) (int, error) {
 	var feed []storage.TableChange
 	n, runErr := run(&feed)
@@ -100,7 +94,9 @@ func (db *DB) execLogged(run func(feed *[]storage.TableChange) (int, error)) (in
 		db.wseq.Unlock()
 		return n, runErr
 	}
-	if err := db.commitRelease(feed, feed); err != nil {
+	err := db.commitLogged(feed, feed)
+	db.wseq.Unlock()
+	if err != nil {
 		// Surface both failures: the durability error (nothing committed)
 		// and, when the statement itself also failed, its own error.
 		return 0, errors.Join(err, runErr)

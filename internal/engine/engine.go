@@ -68,25 +68,13 @@ type DB struct {
 	// feed is delivered; guarded by wseq (see SetCommitLog).
 	clog CommitLog
 
-	// Async commit pipeline (see commit.go): commits enqueued under wseq,
-	// resolved and delivered in order by a single worker goroutine.
-	cmu       sync.Mutex
-	ccond     *sync.Cond // signals queue growth, drain progress, and stop
-	cqueue    []*pendingCommit
-	cinflight int  // enqueued but not yet delivered and acked
-	cworker   bool // worker goroutine running
-	cstop     bool
-	cdone     chan struct{}
-
 	lmu       sync.RWMutex
 	listeners []ChangeListener
 }
 
 // New creates an empty database.
 func New() *DB {
-	db := &DB{tables: make(map[string]*storage.Table)}
-	db.ccond = sync.NewCond(&db.cmu)
-	return db
+	return &DB{tables: make(map[string]*storage.Table)}
 }
 
 // AddListener subscribes l to the change feed of every current and future
@@ -174,12 +162,12 @@ func (db *DB) Relation(name string) (storage.Relation, error) {
 
 // FreezeWrites blocks every engine writer (DML and DDL) until the
 // returned release function is called. While frozen, no write is in
-// flight, the async commit pipeline is drained, and every completed
-// write's change-feed delta has been delivered, so the caller can drain
-// derived state and snapshot tables at one consistent cut. The Hippo
-// core uses it when publishing a query view.
+// flight and every completed write's change-feed delta has been
+// delivered, so the caller can drain derived state and snapshot tables
+// at one consistent cut. The Hippo core uses it when publishing a query
+// view.
 func (db *DB) FreezeWrites() (release func()) {
-	db.lockExclusive()
+	db.wseq.Lock()
 	return db.wseq.Unlock
 }
 
@@ -199,9 +187,7 @@ func (db *DB) TableNames() []string {
 // commit log attached, the registration is durably logged before it is
 // announced; a log failure unregisters the table and reports the error.
 func (db *DB) CreateTable(name string, s schema.Schema) (*storage.Table, error) {
-	// DDL is a pipeline barrier (lockExclusive): its log record and schema
-	// notification must order after every data commit already enqueued.
-	db.lockExclusive()
+	db.wseq.Lock()
 	defer db.wseq.Unlock()
 	key := strings.ToLower(name)
 	db.mu.RLock()
@@ -287,7 +273,7 @@ func (db *DB) ExecStmtContext(ctx context.Context, st sqlparse.Statement) (*Resu
 		// would let a concurrent DROP TABLE log its record ahead of this
 		// statement's, leaving a dangling CREATE INDEX in the log that
 		// recovery could never replay.
-		db.lockExclusive()
+		db.wseq.Lock()
 		defer db.wseq.Unlock()
 		t, err := db.Table(s.Table)
 		if err != nil {
@@ -313,7 +299,7 @@ func (db *DB) ExecStmtContext(ctx context.Context, st sqlparse.Statement) (*Resu
 		}
 		return nil, 0, nil
 	case *sqlparse.DropTable:
-		db.lockExclusive()
+		db.wseq.Lock()
 		defer db.wseq.Unlock()
 		key := strings.ToLower(s.Name)
 		db.mu.RLock()
@@ -672,9 +658,10 @@ func (db *DB) ApplyBatchContext(ctx context.Context, stmts []sqlparse.Statement)
 	// Commit point: with a log attached, the batch must be durable before
 	// any listener (and hence any published view) can observe it. A log
 	// failure rolls the whole batch back — never a prefix on disk, never a
-	// prefix in memory. commitRelease releases the sequencer: the fsync
-	// wait happens outside it so concurrent batches share group commits.
-	if err := db.commitRelease(feed, storage.CoalesceChanges(feed)); err != nil {
+	// prefix in memory.
+	err := db.commitLogged(feed, storage.CoalesceChanges(feed))
+	db.wseq.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	return affected, nil

@@ -41,8 +41,10 @@ type Recovered struct {
 //	wal-%016x.log        WAL segment with that sequence number
 //	checkpoint-%016x.ckpt  checkpoint covering all segments before that seq
 //
-// Append methods are safe for concurrent use; Rotate and WriteCheckpoint
-// are driven by the engine's checkpointer under its own serialization.
+// Append methods are safe for concurrent use: each append writes and
+// fsyncs its record under the store lock, so log order is call order.
+// Rotate and WriteCheckpoint are driven by the engine's checkpointer
+// under its own serialization.
 type Store struct {
 	dir  string
 	opts Options
@@ -51,21 +53,13 @@ type Store struct {
 	seq      uint64   // live segment sequence
 	seg      Syncer   // live segment sink (nil after Close)
 	lock     *os.File // flock-held LOCK file guarding single-writer access
-	segBytes int64    // durable length: advances only after a group's fsync
+	segBytes int64    // durable length: advances only after an append's fsync
 	failed   error    // sticky: set after a torn append, fails all later commits
-	closing  bool     // set by Close before it stops the log writer
 
 	// prepared is the pre-created next segment (see PrepareRotation): the
 	// checkpointer pays the file creation and its fsyncs before taking the
 	// engine write freeze, so Rotate under the freeze is a pointer swap.
 	prepared *preparedSegment
-
-	// Group commit (see group.go): appends queue under mu and the single
-	// log-writer goroutine drains the queue one fsync per group.
-	queue      []*commitReq
-	kick       chan struct{} // cap-1 writer nudge
-	writerStop chan struct{}
-	writerDone chan struct{}
 }
 
 // preparedSegment is a created-and-synced segment awaiting Rotate.
@@ -268,17 +262,10 @@ func openLocked(dir string, opts Options) (*Store, *Recovered, error) {
 		}
 	}
 
-	st := &Store{
-		dir:        dir,
-		opts:       opts,
-		kick:       make(chan struct{}, 1),
-		writerStop: make(chan struct{}),
-		writerDone: make(chan struct{}),
-	}
+	st := &Store{dir: dir, opts: opts}
 	if err := st.openSegment(live); err != nil {
 		return nil, nil, err
 	}
-	go st.writerLoop()
 	return st, rec, nil
 }
 
@@ -365,18 +352,37 @@ func (s *Store) sync(sink Syncer) error {
 	return sink.Sync()
 }
 
-// append frames payload as one record and blocks until its group commit
-// resolves (see group.go): the record is enqueued for the log writer,
-// which writes every queued frame and issues one fsync for the group. A
-// failed group is sticky: the segment may now hold a torn record, so
-// every later append fails too — durability is gone and the engine must
-// surface errors rather than keep committing. The tail is additionally
-// truncated back to the group's start: a record whose fsync failed was
-// reported to the caller as NOT committed (and rolled back in memory), so
-// it must not be allowed to linger on disk and resurrect as committed on
-// the next open.
+var errStoreClosed = errors.New("wal: store is closed")
+
+// append frames payload as one record, writes it, and fsyncs it before
+// returning, all under the store lock. A failed write or fsync is sticky:
+// the segment may now hold a torn record, so every later append fails
+// too — durability is gone and the engine must surface errors rather
+// than keep committing. The tail is additionally truncated back to the
+// record's start: a record whose fsync failed was reported to the caller
+// as NOT committed (and rolled back in memory), so it must not be allowed
+// to linger on disk and resurrect as committed on the next open.
 func (s *Store) append(payload []byte) error {
-	return s.beginAppend(payload).Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seg == nil {
+		return errStoreClosed
+	}
+	if s.failed != nil {
+		return fmt.Errorf("wal: log failed earlier: %w", s.failed)
+	}
+	frame := appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
+	_, err := s.seg.Write(frame)
+	if err == nil {
+		err = s.sync(s.seg)
+	}
+	if err != nil {
+		s.failed = err
+		s.truncateTailLocked()
+		return err
+	}
+	s.segBytes += int64(len(frame))
+	return nil
 }
 
 // truncateTailLocked best-effort removes the bytes of a failed append so
@@ -433,7 +439,7 @@ func (s *Store) PrepareRotation() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.seg == nil {
-		return errors.New("wal: store is closed")
+		return errStoreClosed
 	}
 	if s.prepared != nil {
 		return nil
@@ -454,7 +460,7 @@ func (s *Store) Rotate() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.seg == nil {
-		return 0, errors.New("wal: store is closed")
+		return 0, errStoreClosed
 	}
 	if s.failed != nil {
 		return 0, fmt.Errorf("wal: log failed earlier: %w", s.failed)
@@ -543,26 +549,17 @@ func (s *Store) syncDir() {
 	}
 }
 
-// Close stops the log writer, flushes and seals the live segment, and
-// releases the directory lock. The flush is what makes a CLEAN shutdown
-// durable in NoSync mode — commits there live in the page cache until
-// this point; in sync mode it is a no-op barrier. Appends still queued or
-// racing Close fail with "store is closed": they were never acked, so no
-// committed state is lost. The store must not be used afterwards.
+// Close flushes and seals the live segment and releases the directory
+// lock. The flush is what makes a CLEAN shutdown durable in NoSync mode —
+// commits there live in the page cache until this point; in sync mode it
+// is a no-op barrier. Appends after Close fail with "store is closed".
+// The store must not be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	if s.seg == nil || s.closing {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.seg == nil {
 		return nil
 	}
-	s.closing = true
-	s.mu.Unlock()
-	close(s.writerStop)
-	<-s.writerDone
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failQueuedLocked(errStoreClosed)
 	var err error
 	if s.failed == nil {
 		err = s.seg.Sync()
