@@ -67,9 +67,6 @@ func BenchmarkE8ConflictDetection(b *testing.B) { runExperiment(b, "e8") }
 // BenchmarkE9Overhead — Hippo/SQL overhead ratios.
 func BenchmarkE9Overhead(b *testing.B) { runExperiment(b, "e9") }
 
-// BenchmarkAblationPruning — prover DFS with vs without early pruning.
-func BenchmarkAblationPruning(b *testing.B) { runExperiment(b, "ablation-pruning") }
-
 // BenchmarkAblationDetection — FD fast path vs generic denial join.
 func BenchmarkAblationDetection(b *testing.B) { runExperiment(b, "ablation-detection") }
 

@@ -1,5 +1,5 @@
 // Command hippobench runs the Hippo experiment suite that reproduces the
-// paper's demonstration (E1–E9 plus ablations, see DESIGN.md §3) and
+// paper's demonstration (E1–E9 plus the A2 detection ablation, see DESIGN.md §3) and
 // prints each result as a Markdown table, ready to paste into
 // EXPERIMENTS.md. It is not a performance gate: claims rest on the
 // benchmark module under benchmark/.
@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id: all, e1..e9, ablation-pruning, ablation-detection")
+		exp     = flag.String("exp", "all", "experiment id: all, e1..e9, ablation-detection")
 		scale   = flag.String("scale", "full", "preset scale: quick or full")
 		sizes   = flag.String("sizes", "", "comma-separated size override for sweeps (e.g. 1000,5000,20000)")
 		n       = flag.Int("n", 0, "fixed-size override for E4/E6/E7/E9")

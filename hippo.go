@@ -314,12 +314,6 @@ func WithNaiveProver() Option {
 	return func(o *core.Options) { o.Mode = core.ProverNaive }
 }
 
-// WithoutPruning disables early independence pruning in the prover
-// (ablation knob).
-func WithoutPruning() Option {
-	return func(o *core.Options) { o.DisablePruning = true }
-}
-
 // WithoutVerdictCache bypasses the component-scoped verdict cache: every
 // candidate is re-certified from scratch (the cold-certification
 // baseline).
@@ -336,9 +330,10 @@ func WithProverTier() Option {
 }
 
 // WithRequireRewriteTier fails the query with core.ErrRewriteIneligible
-// unless the classifier serves it from the compiled first-order rewrite
-// tier — no silent fallback. Use it to assert a hot query stays on the
-// fast path.
+// unless the compiled first-order rewrite tier serves it — no silent
+// fallback, neither when the classifier routes the query to the prover
+// nor when the compiled plan fails at run time. Use it to assert a hot
+// query stays on the fast path.
 func WithRequireRewriteTier() Option {
 	return func(o *core.Options) { o.Tier = core.TierRequireRewrite }
 }
@@ -347,12 +342,12 @@ func WithRequireRewriteTier() Option {
 type TierCounters = core.TierCounters
 
 // TierCounts reports how many consistent queries each tier has answered
-// over this database's lifetime, plus fast-tier run-time fallbacks.
+// over this database's lifetime, plus rewrite-tier run-time fallbacks.
 func (db *DB) TierCounts() TierCounters { return db.sys.TierCounts() }
 
 // ErrRewriteIneligible re-exports the sentinel WithRequireRewriteTier
 // fails with when the classifier routes the query away from the rewrite
-// tier.
+// tier or the compiled plan fails at run time.
 var ErrRewriteIneligible = core.ErrRewriteIneligible
 
 // ConsistentQuery computes the consistent answers to an SJUD query: the

@@ -141,13 +141,6 @@ func TestOptions(t *testing.T) {
 	if stNaive.EngineQuery <= 1 {
 		t.Errorf("naive prover should issue engine queries, ran %d", stNaive.EngineQuery)
 	}
-	_, stNoPrune, err := db.ConsistentQuery("SELECT * FROM emp", WithoutPruning())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stNoPrune.Answers != 2 {
-		t.Errorf("pruning off changed answers: %+v", stNoPrune)
-	}
 	_, stCold, err := db.ConsistentQuery("SELECT * FROM emp", WithProverTier(), WithoutVerdictCache())
 	if err != nil {
 		t.Fatal(err)

@@ -229,7 +229,6 @@ func RunAll(w io.Writer, sc Scale) error {
 		E7UnionQuery,
 		E8ConflictDetection,
 		E9Overhead,
-		AblationPruning,
 		AblationDetection,
 	}
 	for _, run := range runners {
@@ -244,8 +243,7 @@ func RunAll(w io.Writer, sc Scale) error {
 	return nil
 }
 
-// Run executes a single experiment by id ("e1".."e9", "ablation-pruning",
-// "ablation-detection").
+// Run executes a single experiment by id ("e1".."e9", "ablation-detection").
 func Run(id string, sc Scale) (Table, error) {
 	switch strings.ToLower(id) {
 	case "e1":
@@ -266,8 +264,6 @@ func Run(id string, sc Scale) (Table, error) {
 		return E8ConflictDetection(sc)
 	case "e9":
 		return E9Overhead(sc)
-	case "ablation-pruning":
-		return AblationPruning(sc)
 	case "ablation-detection":
 		return AblationDetection(sc)
 	default:

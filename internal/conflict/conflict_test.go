@@ -166,13 +166,13 @@ func TestHypergraphIndependence(t *testing.T) {
 	h.AddEdge([]Vertex{a, b}, "e1")
 	h.AddEdge([]Vertex{b, c, d}, "e2")
 
-	if !h.Independent(NewVertexSet(a, c, d)) {
+	if !h.IndependentWith(NewVertexSet(), a, c, d) {
 		t.Error("{a,c,d} should be independent")
 	}
-	if h.Independent(NewVertexSet(a, b)) {
+	if h.IndependentWith(NewVertexSet(), a, b) {
 		t.Error("{a,b} contains edge e1")
 	}
-	if !h.Independent(NewVertexSet(b, c)) {
+	if !h.IndependentWith(NewVertexSet(), b, c) {
 		t.Error("{b,c} is a strict subset of e2, independent")
 	}
 	s := NewVertexSet(a, c)

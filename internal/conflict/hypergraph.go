@@ -343,16 +343,6 @@ func (s VertexSet) Clone() VertexSet {
 	return out
 }
 
-// Independent reports whether the set contains no complete hyperedge of h.
-func (h *Hypergraph) Independent(s VertexSet) bool {
-	for v := range s {
-		if h.hasEdgeWithinVia(s, v) {
-			return false
-		}
-	}
-	return true
-}
-
 // IndependentWith reports whether s ∪ {extra...} stays independent, only
 // re-checking edges incident to the added vertices. The caller guarantees
 // s itself is independent.

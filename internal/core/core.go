@@ -75,20 +75,17 @@ func (m ProverMode) String() string {
 // Options tune a consistent-query run.
 type Options struct {
 	Mode ProverMode
-	// DisablePruning turns off early independence pruning in the prover
-	// (ablation).
-	DisablePruning bool
 	// DisableVerdictCache bypasses the per-candidate verdict memo for
 	// this call: every candidate is re-certified from scratch. It is a
 	// differential-testing knob and the benchmark's cold-certification
 	// setting.
 	DisableVerdictCache bool
 	// Tier constrains the tiered answering planner: TierAuto (default)
-	// lets the classifier route eligible queries to the rewrite or hybrid
-	// tier, TierForceProver pins the certification path, and
-	// TierRequireRewrite errors unless the rewrite tier fires. Any
-	// certification-tuning option above implies TierForceProver — those
-	// runs exist to measure the prover plane.
+	// lets the classifier route eligible queries to the rewrite tier and
+	// the rest to the prover tier, TierForceProver pins the certification
+	// path, and TierRequireRewrite errors unless the rewrite tier serves
+	// the query. Any certification-tuning option above implies
+	// TierForceProver — those runs exist to measure the prover plane.
 	Tier TierSelect
 }
 
@@ -121,18 +118,17 @@ type Stats struct {
 	// materialized.
 	PeakIntermediate int64
 	// Strategy names the tier that produced the answers: "rewrite"
-	// (compiled first-order plan, zero certification), "hybrid"
-	// (residue-prefiltered envelope, certified survivors), or "prover"
-	// (full certification).
+	// (compiled first-order plan, zero certification) or "prover" (full
+	// certification).
 	Strategy string
 	// TierReasons lists the classifier's reasons for ruling out the
-	// faster tiers (empty when the rewrite tier served the query).
+	// rewrite tier (empty when the rewrite tier served the query).
 	TierReasons []string
 	// Classify is the tier-classification time; plan-cache hits make it
 	// near zero, so it bounds the overhead ineligible queries pay.
 	Classify time.Duration
-	// TierFallback reports that a compiled fast-tier plan failed at run
-	// time and the prover tier silently re-served the query.
+	// TierFallback reports that a compiled rewrite-tier plan failed at
+	// run time and the prover tier silently re-served the query.
 	TierFallback bool
 	// Tiers snapshots the system's lifetime per-tier counters after this
 	// run was counted.
@@ -253,8 +249,9 @@ type System struct {
 	rwprep  *rewrite.Rewriter
 	rwepoch uint64
 	tiers   *cqaplan.Cache
-	tierRewrite, tierHybrid,
-	tierProver, tierFallback atomic.Int64
+
+	// tierRewrite, tierProver and tierFallback back TierCounts.
+	tierRewrite, tierProver, tierFallback atomic.Int64
 
 	// store is the WAL/checkpoint store of a durable system (nil when
 	// in-memory); ckptMu serializes checkpoints and ckptBytes is the
@@ -890,8 +887,8 @@ func (s *System) runQueryViewBound(ctx context.Context, v *queryView, plan ra.No
 	queriesBefore := s.db.QueryCount()
 
 	// Tier classification: eligible queries run a compiled first-order
-	// plan (rewrite tier, zero certification) or a residue-prefiltered
-	// envelope (hybrid tier); everything else takes the prover tier.
+	// plan (rewrite tier, zero certification); everything else takes the
+	// prover tier.
 	tc0 := time.Now()
 	dec := s.tierDecision(plan, stats.QueryPlan, opts)
 	stats.Classify = time.Since(tc0)
@@ -909,6 +906,9 @@ func (s *System) runQueryViewBound(ctx context.Context, v *queryView, plan ra.No
 			answers = res
 		case isCtxErr(ctx, rerr):
 			return nil, nil, rerr
+		case opts.Tier == TierRequireRewrite:
+			// The caller asked for no silent fallback.
+			return nil, nil, fmt.Errorf("%w: compiled plan failed: %w", ErrRewriteIneligible, rerr)
 		default:
 			// A compiled plan failing at run time must never surface to
 			// the client: fall back to the prover tier silently.
@@ -923,18 +923,6 @@ func (s *System) runQueryViewBound(ctx context.Context, v *queryView, plan ra.No
 		env, err := envelope.Envelope(plan)
 		if err != nil {
 			return nil, nil, err
-		}
-		if dec.Tier == cqaplan.TierHybrid && !stats.TierFallback && dec.Plan != nil {
-			// Hybrid tier: residues subtract candidates whose witness has
-			// a binary-violation partner — such tuples are absent from
-			// some repair, so discarding them before certification is
-			// sound and shrinks the prover's workload.
-			if pre, rerr := engine.Rebind(dec.Plan, v.snap); rerr == nil {
-				env = pre
-			} else {
-				stats.TierFallback = true
-				stats.Strategy = cqaplan.TierProver.String()
-			}
 		}
 		stats.EnvelopePlan = ra.Format(env)
 		stats.Envelope = time.Since(t0)
@@ -983,22 +971,15 @@ func (s *System) certConfig(v *queryView, opts Options, stats *Stats) certConfig
 	} else {
 		cfg.member = prover.IndexedMembership{TI: v.ti}
 	}
-	// Verdicts hit the cache first (default mode only: ablation and
-	// baseline modes must measure real work), and misses are certified
+	// Verdicts hit the cache first (default mode only: the naive and
+	// uncached baselines must measure real work), and misses are certified
 	// with dependency tracking and stored for later views.
-	cfg.useCache = opts.Mode == ProverIndexed && !opts.DisablePruning && !opts.DisableVerdictCache
+	cfg.useCache = opts.Mode == ProverIndexed && !opts.DisableVerdictCache
 	if cfg.useCache {
 		cfg.querySig = verdictcache.QuerySignature(stats.QueryPlan)
 		cfg.compResolve = v.hg.Graph().Component
 	}
 	return cfg
-}
-
-// newProver builds one certification worker's prover.
-func (s *System) newProver(v *queryView, cfg certConfig, opts Options) *prover.Prover {
-	p := prover.New(v.hg.Graph(), cfg.member)
-	p.DisablePruning = opts.DisablePruning
-	return p
 }
 
 // certifyOne decides one candidate: verdict cache first when enabled,
@@ -1081,7 +1062,7 @@ func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env r
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		p := s.newProver(v, cfg, opts)
+		p := prover.New(v.hg.Graph(), cfg.member)
 		provers[w] = p
 		wg.Add(1)
 		go func(w int, p *prover.Prover) {
@@ -1238,7 +1219,7 @@ func FormatStats(st *Stats) string {
 	}
 	return fmt.Sprintf(
 		"tier=%s classify=%v fallback=%v reasons=%s\n"+
-			"tier-totals: rewrite=%d hybrid=%d prover=%d fallbacks=%d\n"+
+			"tier-totals: rewrite=%d prover=%d fallbacks=%d\n"+
 			"mode=%s candidates=%d answers=%d workers=%d epoch=%d\n"+
 			"planner: join-order=%s peak-intermediate-rows=%d\n"+
 			"envelope=%v evaluation=%v prover=%v total=%v\n"+
@@ -1248,7 +1229,7 @@ func FormatStats(st *Stats) string {
 			"maintenance: deltas=%d edges+%d edges-%d full-rebuilds=%d overflows=%d\n"+
 			"snapshots: published=%d reclaimed=%d slabs-reclaimed=%d",
 		st.Strategy, st.Classify, st.TierFallback, reasons,
-		st.Tiers.Rewrite, st.Tiers.Hybrid, st.Tiers.Prover, st.Tiers.Fallbacks,
+		st.Tiers.Rewrite, st.Tiers.Prover, st.Tiers.Fallbacks,
 		st.ProverMode, st.Candidates, st.Answers, st.Workers, st.Epoch,
 		order, st.PeakIntermediate,
 		st.Envelope, st.Evaluation, st.ProverTime, st.Total,

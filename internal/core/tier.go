@@ -27,20 +27,26 @@ const (
 	// unconditionally — the differential-testing and benchmark baseline.
 	TierForceProver
 	// TierRequireRewrite fails the query with ErrRewriteIneligible unless
-	// the classifier picks the rewrite tier, instead of silently falling
-	// back; tests and benchmarks use it to assert the fast path fires.
+	// the rewrite tier serves it: when the classifier routes it away, and
+	// when the compiled plan fails at run time, instead of silently
+	// falling back; tests and benchmarks use it to assert the fast path
+	// fires.
 	TierRequireRewrite
 )
 
 // ErrRewriteIneligible reports a TierRequireRewrite run whose query the
-// classifier routed away from the rewrite tier.
+// classifier routed away from the rewrite tier, or whose compiled plan
+// failed at run time (the error then wraps the cause too).
 var ErrRewriteIneligible = errors.New("core: query is not eligible for the rewrite tier")
 
 // TierCounters are lifetime counts of consistent-query runs by the tier
-// that produced their answers, plus fast-tier executions that failed
+// that produced their answers, plus rewrite-tier executions that failed
 // mid-run and were silently re-served by the prover.
 type TierCounters struct {
-	Rewrite   int64
+	Rewrite int64
+	// Hybrid is always 0: the classifier routes every query to the
+	// rewrite or the prover tier. The field stays so existing readers of
+	// TierCounters keep compiling.
 	Hybrid    int64
 	Prover    int64
 	Fallbacks int64
@@ -50,7 +56,6 @@ type TierCounters struct {
 func (s *System) TierCounts() TierCounters {
 	return TierCounters{
 		Rewrite:   s.tierRewrite.Load(),
-		Hybrid:    s.tierHybrid.Load(),
 		Prover:    s.tierProver.Load(),
 		Fallbacks: s.tierFallback.Load(),
 	}
@@ -62,11 +67,10 @@ func (s *System) TierCounts() TierCounters {
 func (s *System) ConstraintEpoch() uint64 { return s.cepoch.Load() }
 
 // certTuningSet reports whether any certification-plane tuning option is
-// active. Such runs measure the prover plane (naive membership, the
-// pruning ablation, an uncached run), so the planner must not route them
-// away from it.
+// active. Such runs measure the prover plane (naive membership, an
+// uncached run), so the planner must not route them away from it.
 func certTuningSet(opts Options) bool {
-	return opts.Mode != ProverIndexed || opts.DisablePruning || opts.DisableVerdictCache
+	return opts.Mode != ProverIndexed || opts.DisableVerdictCache
 }
 
 // preparedRewriter returns the rewriter prepared for the current
@@ -114,7 +118,8 @@ func (s *System) tierDecision(plan ra.Node, sig string, opts Options) *cqaplan.D
 
 // testTierExecHook, when set (tests only), runs at the top of every
 // rewrite-tier execution; an error simulates a compiled plan failing at
-// run time so the silent prover fallback can be exercised.
+// run time so the silent prover fallback (and its refusal under
+// TierRequireRewrite) can be exercised.
 var testTierExecHook func() error
 
 // answerRewrite serves a rewrite-tier decision: the compiled plan is
@@ -337,8 +342,6 @@ func (s *System) noteTier(stats *Stats) {
 	switch stats.Strategy {
 	case cqaplan.TierRewrite.String():
 		s.tierRewrite.Add(1)
-	case cqaplan.TierHybrid.String():
-		s.tierHybrid.Add(1)
 	default:
 		s.tierProver.Add(1)
 	}

@@ -93,7 +93,7 @@ func TestTierClassifierDemotions(t *testing.T) {
 // TestTierAttackCycleDemotes joins two keyed relations through each
 // other's non-key columns in both directions: the attack graph is cyclic,
 // so no atom's certainty is decidable independently and the classifier
-// must refuse the fast tiers.
+// must refuse the rewrite tier.
 func TestTierAttackCycleDemotes(t *testing.T) {
 	db := engine.New()
 	mustExec(db, "CREATE TABLE r (a INT, b INT)")
@@ -134,9 +134,10 @@ func TestTierInteractionDemotes(t *testing.T) {
 }
 
 // TestTierHybridCoverage: one relation is covered by FD residues, the
-// other carries a 3-atom denial the rewriting cannot express — the
-// classifier must pick the hybrid tier (prefilter with the residues that
-// do exist, certify the survivors) and still match the oracle.
+// other carries a 3-atom denial the rewriting cannot express. Partial
+// coverage earns no tier of its own: the classifier must send the query
+// to the prover with the uncovered relation as its reason, the answers
+// must match the oracle, and no run may be counted as hybrid.
 func TestTierHybridCoverage(t *testing.T) {
 	db := engine.New()
 	mustExec(db, "CREATE TABLE emp (id INT, salary INT)")
@@ -149,9 +150,12 @@ func TestTierHybridCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := NewSystem(db, []constraint.Constraint{fd, den})
-	st := assertTier(t, sys, "SELECT * FROM emp e, aud a WHERE e.id = a.k", "hybrid", "constraint-uncovered")
+	st := assertTier(t, sys, "SELECT * FROM emp e, aud a WHERE e.id = a.k", "prover", "constraint-uncovered")
 	if st.TierFallback {
-		t.Error("hybrid run flagged as fallback")
+		t.Error("prover run flagged as fallback")
+	}
+	if tc := sys.TierCounts(); tc.Hybrid != 0 || tc.Prover == 0 {
+		t.Errorf("tier counters = %+v, want prover runs and no hybrid ones", tc)
 	}
 }
 
@@ -231,6 +235,24 @@ func TestTierFallbackIsSilent(t *testing.T) {
 	got, want := rowStrings(res.Rows), oracleAnswers(t, s, q)
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Errorf("fallback answers %v != oracle %v", got, want)
+	}
+}
+
+// TestTierRequireRewriteNoFallback: under TierRequireRewrite a compiled
+// rewrite plan that fails at run time must surface as an error wrapping
+// both ErrRewriteIneligible and the cause, not be re-served by the
+// prover; neither a fallback nor a prover run may be counted.
+func TestTierRequireRewriteNoFallback(t *testing.T) {
+	s := newSystem(t)
+	cause := errors.New("simulated compiled-plan failure")
+	testTierExecHook = func() error { return cause }
+	defer func() { testTierExecHook = nil }()
+	_, _, err := s.ConsistentQuery("SELECT * FROM emp WHERE salary > 120", Options{Tier: TierRequireRewrite})
+	if !errors.Is(err, ErrRewriteIneligible) || !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want ErrRewriteIneligible wrapping the cause", err)
+	}
+	if tc := s.TierCounts(); tc != (TierCounters{}) {
+		t.Errorf("tier counters = %+v, want none counted", tc)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package cqaplan implements the tiered answering planner: it classifies
 // an incoming consistent query against the registered constraint set and
-// decides which of three execution tiers serves it.
+// decides which of two execution tiers serves it.
 //
 //   - Rewrite tier: the query plus every constraint's residue compiles
 //     into one first-order plan whose direct evaluation returns exactly
@@ -12,24 +12,17 @@
 //     residue anti-joins that evaluates without a serving view. The core
 //     executes those residues as conflict-membership probes against the
 //     view's hypergraph instead of re-joining each relation.
-//   - Hybrid tier: the envelope's scans are prefiltered by whatever
-//     residues do exist, discarding candidates whose witness tuples have a
-//     binary-violation partner (such a tuple is absent from some repair,
-//     and safe projections make the witness unique, so the candidate
-//     cannot be a consistent answer). Every surviving candidate is still
-//     certified by the prover, so the tier is sound whenever the prover
-//     is; it only shrinks the candidate set.
-//   - Prover tier: the unchanged hypergraph certification path, the
-//     universal fallback.
+//   - Prover tier: the hypergraph certification path, which serves every
+//     query the rewrite tier cannot take.
 //
 // Classification is conservative: any shape the analysis cannot prove
-// eligible demotes. Self-joins, equality of a key-position column with a
-// constant, cyclic attack structure between query atoms, and a relation
-// mixing unary and binary constraints (the unary denial can kill a
-// binary-conflict partner in every repair, so residues over-subtract)
-// each demote straight to the prover tier; constraints outside the
-// binary-denial class or a multi-atom negative side demote to the hybrid
-// tier when at least one residue still applies.
+// eligible goes to the prover tier, with the reasons recorded. Self-joins,
+// equality of a key-position column with a constant, cyclic attack
+// structure between query atoms, a relation mixing unary and binary
+// constraints (the unary denial can kill a binary-conflict partner in
+// every repair, so residues over-subtract), constraints outside the
+// binary-denial class and a multi-atom negative side each rule the rewrite
+// tier out.
 package cqaplan
 
 import (
@@ -49,8 +42,8 @@ type Tier int
 const (
 	// TierProver is the hypergraph certification path (fallback).
 	TierProver Tier = iota
-	// TierHybrid prefilters envelope candidates with residues, then
-	// certifies the survivors with the prover.
+	// TierHybrid is never produced: Classify returns only TierRewrite or
+	// TierProver. The constant stays so existing readers keep compiling.
 	TierHybrid
 	// TierRewrite answers from the compiled first-order rewriting alone.
 	TierRewrite
@@ -68,11 +61,11 @@ func (t Tier) String() string {
 	}
 }
 
-// ReasonCode labels one classification rule that ruled out a faster tier.
+// ReasonCode labels one classification rule that ruled out the rewrite tier.
 type ReasonCode string
 
-// The classifier's demotion reasons. Shape and guard reasons demote to
-// the prover tier; coverage reasons admit the hybrid tier.
+// The classifier's demotion reasons; each sends the query to the prover
+// tier.
 const (
 	ReasonUnsupportedShape ReasonCode = "unsupported-shape"      // outside SJUD / unsafe projection
 	ReasonUnion            ReasonCode = "union"                  // disjunctive information needs the prover
@@ -82,7 +75,6 @@ const (
 	ReasonInteraction      ReasonCode = "constraint-interaction" // unary denial overlaps a binary constraint
 	ReasonUncovered        ReasonCode = "constraint-uncovered"   // a scanned relation has a non-residue constraint
 	ReasonNegativeJoin     ReasonCode = "join-under-negation"    // multi-atom negative side of a difference
-	ReasonNoResidues       ReasonCode = "no-applicable-residue"  // nothing for the hybrid tier to prefilter with
 	ReasonCompileFailed    ReasonCode = "compile-failed"         // residue application failed unexpectedly
 	ReasonForced           ReasonCode = "forced"                 // caller options pinned the tier
 )
@@ -106,12 +98,11 @@ func (r Reason) String() string {
 // logical tree that callers rebind per run, never mutate.
 type Decision struct {
 	Tier Tier
-	// Plan is the compiled tier plan: the full rewriting (rewrite tier)
-	// or the residue-prefiltered envelope (hybrid tier); nil for the
-	// prover tier.
+	// Plan is the compiled rewriting (rewrite tier); nil for the prover
+	// tier.
 	Plan ra.Node
-	// Reasons records why each faster tier was ruled out (empty when the
-	// rewrite tier was chosen).
+	// Reasons records why the rewrite tier was ruled out (empty when it
+	// was chosen).
 	Reasons []Reason
 	// Residues is the number of anti-join residues embedded in Plan.
 	Residues int
@@ -150,78 +141,56 @@ func Classify(rw *rewrite.Rewriter, cs []constraint.Constraint, plan ra.Node) *D
 		return d
 	}
 
-	// Guards that demote straight to the prover tier. They are
-	// deliberately conservative: each names a shape for which the
-	// first-order rewriting is not known to be complete in general
-	// (Koutris & Wijsen), so we only claim the fast tiers where the
-	// residue method is provably exact.
+	// Guards that demote to the prover tier. They are deliberately
+	// conservative: each names a shape for which the first-order
+	// rewriting is not known to be complete in general (Koutris &
+	// Wijsen), so we only claim the rewrite tier where the residue method
+	// is provably exact.
 	keys := keyColumns(cs)
-	var hard []Reason
 	for rel, n := range sh.relCount {
 		if n > 1 {
-			hard = append(hard, Reason{Code: ReasonSelfJoin, Detail: fmt.Sprintf("%s occurs %d times", rel, n)})
+			d.Reasons = append(d.Reasons, Reason{Code: ReasonSelfJoin, Detail: fmt.Sprintf("%s occurs %d times", rel, n)})
 		}
 	}
 	if r, ok := keyConstant(sh, keys); ok {
-		hard = append(hard, r)
+		d.Reasons = append(d.Reasons, r)
 	}
 	if r, ok := attackCycle(sh, keys); ok {
-		hard = append(hard, r)
+		d.Reasons = append(d.Reasons, r)
 	}
 	interacting := interactingRels(cs)
 	for rel := range sh.relCount {
 		if interacting[rel] || interacting["*"] {
-			hard = append(hard, Reason{Code: ReasonInteraction,
+			d.Reasons = append(d.Reasons, Reason{Code: ReasonInteraction,
 				Detail: fmt.Sprintf("%s mixes unary and binary constraints", rel)})
 		}
 	}
-	if len(hard) > 0 {
-		d.Reasons = hard
+	if len(d.Reasons) > 0 {
 		return d
 	}
 
 	// Coverage: the rewrite tier requires every scanned relation's
 	// constraints to be expressed as residues.
 	skipped := rw.SkippedRelations()
-	var soft []Reason
 	for rel := range sh.relCount {
 		if skipped[rel] || skipped[""] {
-			soft = append(soft, Reason{Code: ReasonUncovered, Detail: rel})
+			d.Reasons = append(d.Reasons, Reason{Code: ReasonUncovered, Detail: rel})
 		}
 	}
 	if sh.negComplex {
-		soft = append(soft, Reason{Code: ReasonNegativeJoin, Detail: "difference with a multi-atom right side"})
+		d.Reasons = append(d.Reasons, Reason{Code: ReasonNegativeJoin, Detail: "difference with a multi-atom right side"})
 	}
-	if len(soft) == 0 {
-		if compiled, err := rw.Rewrite(plan); err == nil {
-			d.Tier = TierRewrite
-			d.Plan = distinctify(compiled)
-			d.Residues = countResidues(d.Plan)
-			return d
-		} else {
-			soft = append(soft, Reason{Code: ReasonCompileFailed, Detail: err.Error()})
-		}
+	if len(d.Reasons) > 0 {
+		return d
 	}
-	d.Reasons = soft
-
-	// Hybrid tier: prefilter the envelope when any residue applies to a
-	// scanned relation.
-	applicable := 0
-	for rel := range sh.relCount {
-		applicable += rw.ResiduesOn(rel)
+	compiled, err := rw.Rewrite(plan)
+	if err != nil {
+		d.Reasons = append(d.Reasons, Reason{Code: ReasonCompileFailed, Detail: err.Error()})
+		return d
 	}
-	if applicable > 0 {
-		if env, err := envelope.Envelope(plan); err == nil {
-			if filtered, err := rw.ApplyResidues(env); err == nil {
-				d.Tier = TierHybrid
-				d.Plan = filtered
-				d.Residues = countResidues(filtered)
-				return d
-			}
-		}
-	} else {
-		d.Reasons = append(d.Reasons, Reason{Code: ReasonNoResidues})
-	}
+	d.Tier = TierRewrite
+	d.Plan = distinctify(compiled)
+	d.Residues = countResidues(d.Plan)
 	return d
 }
 
@@ -303,8 +272,7 @@ func hasSetOps(n ra.Node) bool {
 // so when such a relation also participates in a binary constraint, a
 // tuple's binary-conflict partner may itself be dead — the tuple then
 // belongs to every repair despite having a partner, and the binary
-// residue (and the hybrid prefilter built from it) would wrongly discard
-// it. Every relation of an affected binary constraint is reported; an
+// residue would wrongly discard it. Every relation of an affected binary constraint is reported; an
 // unrecognized constraint type reports the wildcard "*".
 func interactingRels(cs []constraint.Constraint) map[string]bool {
 	unary := map[string]bool{}

@@ -98,9 +98,9 @@ type RunStats struct {
 	CacheHits  int64  `json:"cache_hits"`
 	CacheMiss  int64  `json:"cache_misses"`
 	TotalUS    int64  `json:"total_us"`
-	// Strategy is the planner tier that produced the answers
-	// ("rewrite", "hybrid", or "prover"); TierFallback reports a
-	// fast-tier run silently re-served by the prover.
+	// Strategy is the planner tier that produced the answers ("rewrite"
+	// or "prover"); TierFallback reports a rewrite-tier run silently
+	// re-served by the prover.
 	Strategy     string `json:"strategy,omitempty"`
 	TierFallback bool   `json:"tier_fallback,omitempty"`
 }

@@ -136,9 +136,6 @@ type depTracker struct {
 type Prover struct {
 	H      *conflict.Hypergraph
 	Member Membership
-	// DisablePruning delays independence checking to complete blocker
-	// assignments (the ablation in BenchmarkAblationPruning).
-	DisablePruning bool
 	// DisableComponents falls back to the single global blocker search
 	// over all negative atoms jointly (the pre-decomposition architecture,
 	// kept as the reference for differential testing).
@@ -403,12 +400,10 @@ func (p *Prover) blockerCandidates(v conflict.Vertex, edges []conflict.Edge) []c
 	return out
 }
 
-// assignBlockers tries every combination of blocking edges depth-first.
+// assignBlockers tries every combination of blocking edges depth-first,
+// cutting a branch as soon as its vertex set stops being independent.
 func (p *Prover) assignBlockers(s, nset conflict.VertexSet, blockers [][]conflict.Edge, i int) (bool, error) {
 	if i == len(blockers) {
-		if p.DisablePruning && !p.H.Independent(s) {
-			return false, nil
-		}
 		return true, nil
 	}
 nextEdge:
@@ -423,7 +418,7 @@ nextEdge:
 				added = append(added, u)
 			}
 		}
-		if !p.DisablePruning && !p.H.IndependentWith(s, added...) {
+		if !p.H.IndependentWith(s, added...) {
 			p.Stats.Pruned++
 			continue
 		}

@@ -257,35 +257,6 @@ func mustTable(t *testing.T, db *engine.DB, name string) *storage.Table {
 	return tb
 }
 
-func TestDisablePruningSameAnswers(t *testing.T) {
-	db, h, ti := setup(t)
-	fast := New(h, IndexedMembership{TI: ti})
-	slow := New(h, IndexedMembership{TI: ti})
-	slow.DisablePruning = true
-	queries := []string{
-		"SELECT * FROM emp",
-		"SELECT * FROM emp WHERE salary > 120",
-		"SELECT * FROM emp EXCEPT SELECT * FROM emp WHERE id = 1",
-	}
-	tuples := []value.Tuple{ints(1, 100), ints(2, 150), ints(3, 300), ints(9, 9)}
-	for _, q := range queries {
-		plan := mustPlan(t, db, q)
-		for _, tup := range tuples {
-			a, err := fast.IsConsistentAnswer(plan, tup)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := slow.IsConsistentAnswer(plan, tup)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != b {
-				t.Errorf("pruning changed the answer for %v on %q: %v vs %v", tup, q, a, b)
-			}
-		}
-	}
-}
-
 func TestProverStatsAccumulate(t *testing.T) {
 	p, db := indexedProver(t)
 	checkTuple(t, p, db, "SELECT * FROM emp", ints(1, 100))

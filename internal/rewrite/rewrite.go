@@ -25,8 +25,8 @@
 //   - Prepare is the lenient constructor behind the tiered answering
 //     planner (internal/cqaplan): constraints the method cannot express
 //     are recorded as structured Skips instead of failing the whole
-//     rewriter, so the planner can still apply the residues that do exist
-//     (hybrid tier) or decide the query is prover-only.
+//     rewriter, so the planner can still send queries over fully covered
+//     relations to the rewrite tier and the rest to the prover.
 //
 // A Rewriter only ever *produces* ra.Node plans — it never executes them.
 // The emitted trees are logical (no physical access paths), so callers
@@ -141,19 +141,6 @@ func (rw *Rewriter) Skipped() []Skip { return rw.skipped }
 // ResidueCount returns the number of installed residues.
 func (rw *Rewriter) ResidueCount() int { return len(rw.residues) }
 
-// ResiduesOn counts the residues attached to positive occurrences of the
-// named relation (case-insensitive).
-func (rw *Rewriter) ResiduesOn(rel string) int {
-	rel = strings.ToLower(rel)
-	n := 0
-	for _, r := range rw.residues {
-		if r.rel == rel {
-			n++
-		}
-	}
-	return n
-}
-
 // SkippedRelations returns the set of relations (lowercased) mentioned by
 // skipped constraints. A skip whose relations are unknown (lowering
 // failed) is reported under the empty key "", which callers must treat as
@@ -247,15 +234,6 @@ func (rw *Rewriter) RewriteSQL(sql string) (ra.Node, error) {
 // Rewrite transforms an SJD plan so that its direct evaluation returns
 // consistent answers. The input plan is not mutated.
 func (rw *Rewriter) Rewrite(plan ra.Node) (ra.Node, error) {
-	return rw.rewrite(plan, true)
-}
-
-// ApplyResidues wraps every base-relation scan of a positive-only plan
-// (such as an envelope, whose negative sides are already dropped) with
-// this rewriter's residues. It is the hybrid tier's candidate prefilter:
-// the result evaluates to the subset of the input's rows whose witness
-// tuples have no binary-violation partner. The input plan is not mutated.
-func (rw *Rewriter) ApplyResidues(plan ra.Node) (ra.Node, error) {
 	return rw.rewrite(plan, true)
 }
 

@@ -49,9 +49,9 @@ type runStats struct {
 	CacheHits  int64  `json:"cache_hits"`
 	CacheMiss  int64  `json:"cache_misses"`
 	TotalUS    int64  `json:"total_us"`
-	// Strategy is the planner tier that produced the answers
-	// ("rewrite", "hybrid", or "prover"); TierFallback reports a
-	// fast-tier run silently re-served by the prover.
+	// Strategy is the planner tier that produced the answers ("rewrite"
+	// or "prover"); TierFallback reports a rewrite-tier run silently
+	// re-served by the prover.
 	Strategy     string `json:"strategy,omitempty"`
 	TierFallback bool   `json:"tier_fallback,omitempty"`
 }
@@ -86,7 +86,6 @@ type statsResponse struct {
 	SlabsReclaimed int64  `json:"slabs_reclaimed"`
 	// Lifetime counts of consistent queries answered per planner tier.
 	TierRewrite   int64 `json:"tier_rewrite"`
-	TierHybrid    int64 `json:"tier_hybrid"`
 	TierProver    int64 `json:"tier_prover"`
 	TierFallbacks int64 `json:"tier_fallbacks"`
 	// Maintenance plane: delta-queue overflows and the parked checkpoint
@@ -419,8 +418,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.MaintenanceError = err.Error()
 	}
 	tc := s.db.TierCounts()
-	resp.TierRewrite, resp.TierHybrid = tc.Rewrite, tc.Hybrid
-	resp.TierProver, resp.TierFallbacks = tc.Prover, tc.Fallbacks
+	resp.TierRewrite, resp.TierProver, resp.TierFallbacks = tc.Rewrite, tc.Prover, tc.Fallbacks
 	if resp.Durable {
 		resp.WALBytes = sys.WALBytes()
 	}
