@@ -11,7 +11,6 @@
 //	\constraints                list declared constraints
 //	\analyze                    run conflict detection, print hypergraph stats
 //	\cq <select>                consistent answers (tiered planner picks the strategy)
-//	\cqn <select>               consistent answers with the naive prover
 //	\cqp <select>               consistent answers pinned to the prover tier
 //	\cqr <select>               consistent answers, rewrite tier required (errors if ineligible)
 //	\rw <select>                consistent answers via query rewriting
@@ -217,11 +216,9 @@ func execute(db *hippo.DB, out io.Writer, line string) bool {
 		}
 		fmt.Fprintf(out, "constraints=%d edges=%d conflicting-tuples=%d max-degree=%d (%v)\n",
 			rep.Constraints, rep.Edges, rep.ConflictingTuples, rep.MaxDegree, time.Since(t0))
-	case "cq", "cqn", "cqp", "cqr":
+	case "cq", "cqp", "cqr":
 		var opts []hippo.Option
 		switch cmd {
-		case "cqn":
-			opts = append(opts, hippo.WithNaiveProver())
 		case "cqp":
 			opts = append(opts, hippo.WithProverTier())
 		case "cqr":
@@ -341,7 +338,6 @@ const helpText = `  SQL statements run directly (CREATE TABLE / INSERT / DELETE 
   \constraints                list declared constraints
   \analyze                    run conflict detection
   \cq <select>                consistent answers (tiered planner picks the strategy)
-  \cqn <select>               consistent answers (naive prover)
   \cqp <select>               consistent answers pinned to the prover tier
   \cqr <select>               consistent answers, rewrite tier required (errors if ineligible)
   \rw <select>                consistent answers via query rewriting

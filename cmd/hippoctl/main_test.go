@@ -75,18 +75,9 @@ func TestSelectAndErrors(t *testing.T) {
 }
 
 func TestHelpAndNaiveProver(t *testing.T) {
-	out := runSession(t,
-		`\help`,
-		"CREATE TABLE t (a INT)",
-		"INSERT INTO t VALUES (1)",
-		`\cqn SELECT * FROM t`,
-		`\quit`,
-	)
+	out := runSession(t, `\help`, `\quit`)
 	if !strings.Contains(out, "consistent answers") {
 		t.Errorf("help missing:\n%s", out)
-	}
-	if !strings.Contains(out, "mode=naive") {
-		t.Errorf("naive mode not used:\n%s", out)
 	}
 }
 
@@ -234,14 +225,14 @@ func TestCommandsAreCaseInsensitive(t *testing.T) {
 	out := runSession(t,
 		"CREATE TABLE c (x INT)",
 		"INSERT INTO c VALUES (1)",
-		`\CQN SELECT * FROM c`,
+		`\CQP SELECT * FROM c`,
 		`\BATCH`,
 		"INSERT INTO c VALUES (2)",
 		`\END`,
 		`\quit`,
 	)
-	if !strings.Contains(out, "mode=naive") {
-		t.Errorf("\\CQN should run the naive prover:\n%s", out)
+	if !strings.Contains(out, "tier=prover") {
+		t.Errorf("\\CQP should pin the prover tier:\n%s", out)
 	}
 	if !strings.Contains(out, "batch ok: 1 statements") {
 		t.Errorf("\\BATCH/\\END should collect and apply:\n%s", out)

@@ -159,12 +159,12 @@ func Wrap(db *engine.DB) *DB {
 	return &DB{sys: core.NewSystem(db, nil)}
 }
 
-// Engine exposes the underlying engine for advanced use (e.g. registering
-// it with the database/sql driver). In durable mode, writes issued
-// directly on the engine are logged like any other commit and — because
-// the automatic checkpointer rides the engine's change feed, not this
-// wrapper — still trigger automatic checkpoints; no manual Checkpoint
-// calls are needed to bound the log.
+// Engine exposes the underlying engine for advanced use (e.g. plain SQL
+// and plan execution that bypass consistent answering). In durable mode,
+// writes issued directly on the engine are logged like any other commit
+// and — because the automatic checkpointer rides the engine's change
+// feed, not this wrapper — still trigger automatic checkpoints; no manual
+// Checkpoint calls are needed to bound the log.
 func (db *DB) Engine() *engine.DB { return db.sys.DB() }
 
 // Exec runs any SQL statement (DDL, DML, or SELECT) directly against the
@@ -308,23 +308,17 @@ func (db *DB) Analyze() (AnalysisReport, error) {
 // Option tunes ConsistentQuery.
 type Option func(*core.Options)
 
-// WithNaiveProver makes the prover issue one engine query per membership
-// check (the paper's unoptimized base version).
-func WithNaiveProver() Option {
-	return func(o *core.Options) { o.Mode = core.ProverNaive }
-}
-
 // WithoutVerdictCache bypasses the component-scoped verdict cache: every
-// candidate is re-certified from scratch (the cold-certification
-// baseline).
+// prover-tier candidate is re-certified from scratch (the
+// cold-certification baseline). It does not change which tier serves the
+// query; combine it with WithProverTier to measure the prover.
 func WithoutVerdictCache() Option {
 	return func(o *core.Options) { o.DisableVerdictCache = true }
 }
 
 // WithProverTier pins this query to the prover (certification) tier,
 // bypassing the tiered planner's rewrite fast path. It is the baseline
-// for tier benchmarks and differential tests; every other tuning option
-// above implies it.
+// for tier benchmarks and differential tests.
 func WithProverTier() Option {
 	return func(o *core.Options) { o.Tier = core.TierForceProver }
 }

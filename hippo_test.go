@@ -134,13 +134,6 @@ func TestRepairsAndOracle(t *testing.T) {
 
 func TestOptions(t *testing.T) {
 	db := paperDB(t)
-	_, stNaive, err := db.ConsistentQuery("SELECT * FROM emp", WithNaiveProver())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stNaive.EngineQuery <= 1 {
-		t.Errorf("naive prover should issue engine queries, ran %d", stNaive.EngineQuery)
-	}
 	_, stCold, err := db.ConsistentQuery("SELECT * FROM emp", WithProverTier(), WithoutVerdictCache())
 	if err != nil {
 		t.Fatal(err)

@@ -149,15 +149,16 @@ func TestE6ProverModes(t *testing.T) {
 	if naive[0] != "naive" || indexed[0] != "indexed" {
 		t.Fatalf("rows = %v", tbl.Rows)
 	}
-	// Same answers, and the naive prover must issue far more engine queries.
+	// Same answers; naive issues one engine query per membership check,
+	// indexed none.
 	if naive[6] != indexed[6] {
 		t.Errorf("answers differ across modes: %v vs %v", naive, indexed)
 	}
-	if mustFloat(t, naive[4]) <= mustFloat(t, indexed[4]) {
-		t.Errorf("naive engine queries (%s) should exceed indexed (%s)", naive[4], indexed[4])
+	if naive[4] != naive[3] || mustFloat(t, naive[4]) == 0 {
+		t.Errorf("naive engine queries (%s) should equal its membership checks (%s)", naive[4], naive[3])
 	}
-	if indexed[4] != "1" {
-		t.Errorf("indexed mode should run exactly the envelope query, got %s", indexed[4])
+	if indexed[4] != "0" {
+		t.Errorf("indexed mode should run no engine queries, got %s", indexed[4])
 	}
 }
 

@@ -150,7 +150,7 @@ func TestVerdictCacheAgreesWithUncached(t *testing.T) {
 	}
 	check := func(stage string) {
 		for _, q := range queries {
-			want, _ := mustCQ(t, cached, q, Options{DisableVerdictCache: true})
+			want, _ := mustCQ(t, cached, q, Options{Tier: TierForceProver, DisableVerdictCache: true})
 			got, _ := mustCQ(t, cached, q, Options{Tier: TierForceProver})
 			if len(got.Rows) != len(want.Rows) {
 				t.Fatalf("%s %q: cached=%d uncached=%d answers",

@@ -51,41 +51,19 @@ import (
 	"hippo/internal/wal"
 )
 
-// ProverMode selects how the Prover answers membership checks.
-type ProverMode int
-
-const (
-	// ProverIndexed answers membership checks from in-memory full-row
-	// indexes — the paper's optimized variant that issues no database
-	// queries per check.
-	ProverIndexed ProverMode = iota
-	// ProverNaive issues one engine query per membership check — the
-	// paper's base version, kept for the E6 optimization experiment.
-	ProverNaive
-)
-
-// String names the mode.
-func (m ProverMode) String() string {
-	if m == ProverNaive {
-		return "naive"
-	}
-	return "indexed"
-}
-
 // Options tune a consistent-query run.
 type Options struct {
-	Mode ProverMode
 	// DisableVerdictCache bypasses the per-candidate verdict memo for
-	// this call: every candidate is re-certified from scratch. It is a
-	// differential-testing knob and the benchmark's cold-certification
-	// setting.
+	// prover-tier runs: every candidate is re-certified from scratch. It
+	// is a differential-testing knob and the benchmark's
+	// cold-certification setting; it does not change which tier serves
+	// the query.
 	DisableVerdictCache bool
 	// Tier constrains the tiered answering planner: TierAuto (default)
 	// lets the classifier route eligible queries to the rewrite tier and
 	// the rest to the prover tier, TierForceProver pins the certification
 	// path, and TierRequireRewrite errors unless the rewrite tier serves
-	// the query. Any certification-tuning option above implies
-	// TierForceProver — those runs exist to measure the prover plane.
+	// the query.
 	Tier TierSelect
 }
 
@@ -101,15 +79,13 @@ type Stats struct {
 	CacheHits    int64 // candidates answered from the verdict cache
 	CacheMisses  int64 // candidates certified and stored
 	ProverStats  prover.Stats
-	EngineQuery  int64 // engine queries issued during the run
 	DetectStats  conflict.DetectStats
 	GraphStats   conflict.Stats
 	Maintenance  MaintenanceStats // hypergraph upkeep since system creation
-	ProverMode   ProverMode
-	Epoch        uint64 // epoch of the query view the run was served from
-	Workers      int    // certification worker-pool size used
-	QueryPlan    string // formatted input plan
-	EnvelopePlan string // formatted envelope plan
+	Epoch        uint64           // epoch of the query view the run was served from
+	Workers      int              // certification worker-pool size used
+	QueryPlan    string           // formatted input plan
+	EnvelopePlan string           // formatted envelope plan
 	// JoinOrder is the planner-chosen base-relation access order of the
 	// executed physical plan.
 	JoinOrder string
@@ -877,14 +853,12 @@ func (s *System) runQueryViewBound(ctx context.Context, v *queryView, plan ra.No
 	}
 	start := time.Now()
 	stats := &Stats{
-		ProverMode:  opts.Mode,
 		DetectStats: v.detStats,
 		GraphStats:  v.graphStats,
 		Maintenance: v.maint,
 		Epoch:       v.epoch,
 		QueryPlan:   ra.Format(plan),
 	}
-	queriesBefore := s.db.QueryCount()
 
 	// Tier classification: eligible queries run a compiled first-order
 	// plan (rewrite tier, zero certification); everything else takes the
@@ -950,36 +924,29 @@ func (s *System) runQueryViewBound(ctx context.Context, v *queryView, plan ra.No
 		}
 		answers = &engine.Result{Schema: node.Schema(), Rows: rows}
 	}
-	stats.EngineQuery = s.db.QueryCount() - queriesBefore
 	stats.Total = time.Since(start)
 	return answers, stats, nil
 }
 
-// certConfig is a run's certification setup: the membership backend and
-// the verdict-cache wiring.
+// certConfig is a run's verdict-cache wiring.
 type certConfig struct {
-	member      prover.Membership
 	useCache    bool
 	querySig    string
 	compResolve verdictcache.ComponentResolver
 }
 
+// certConfig wires the verdict cache: verdicts hit the cache first
+// (unless the run measures uncached certification), and misses are
+// certified with dependency tracking and stored for later views.
 func (s *System) certConfig(v *queryView, opts Options, stats *Stats) certConfig {
-	cfg := certConfig{}
-	if opts.Mode == ProverNaive {
-		cfg.member = prover.NaiveMembership{DB: v.snap, TI: v.ti}
-	} else {
-		cfg.member = prover.IndexedMembership{TI: v.ti}
+	if opts.DisableVerdictCache {
+		return certConfig{}
 	}
-	// Verdicts hit the cache first (default mode only: the naive and
-	// uncached baselines must measure real work), and misses are certified
-	// with dependency tracking and stored for later views.
-	cfg.useCache = opts.Mode == ProverIndexed && !opts.DisableVerdictCache
-	if cfg.useCache {
-		cfg.querySig = verdictcache.QuerySignature(stats.QueryPlan)
-		cfg.compResolve = v.hg.Graph().Component
+	return certConfig{
+		useCache:    true,
+		querySig:    verdictcache.QuerySignature(stats.QueryPlan),
+		compResolve: v.hg.Graph().Component,
 	}
-	return cfg
 }
 
 // certifyOne decides one candidate: verdict cache first when enabled,
@@ -1062,7 +1029,7 @@ func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env r
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		p := prover.New(v.hg.Graph(), cfg.member)
+		p := prover.New(v.hg.Graph(), prover.IndexedMembership{TI: v.ti})
 		provers[w] = p
 		wg.Add(1)
 		go func(w int, p *prover.Prover) {
@@ -1220,21 +1187,21 @@ func FormatStats(st *Stats) string {
 	return fmt.Sprintf(
 		"tier=%s classify=%v fallback=%v reasons=%s\n"+
 			"tier-totals: rewrite=%d prover=%d fallbacks=%d\n"+
-			"mode=%s candidates=%d answers=%d workers=%d epoch=%d\n"+
+			"candidates=%d answers=%d workers=%d epoch=%d\n"+
 			"planner: join-order=%s peak-intermediate-rows=%d\n"+
 			"envelope=%v evaluation=%v prover=%v total=%v\n"+
-			"membership-checks=%d disjuncts=%d blocker-choices=%d engine-queries=%d\n"+
+			"membership-checks=%d disjuncts=%d blocker-choices=%d\n"+
 			"hypergraph: edges=%d conflicting-tuples=%d max-degree=%d components=%d max-component=%d\n"+
 			"verdict-cache: hits=%d misses=%d entries=%d invalidated=%d\n"+
 			"maintenance: deltas=%d edges+%d edges-%d full-rebuilds=%d overflows=%d\n"+
 			"snapshots: published=%d reclaimed=%d slabs-reclaimed=%d",
 		st.Strategy, st.Classify, st.TierFallback, reasons,
 		st.Tiers.Rewrite, st.Tiers.Prover, st.Tiers.Fallbacks,
-		st.ProverMode, st.Candidates, st.Answers, st.Workers, st.Epoch,
+		st.Candidates, st.Answers, st.Workers, st.Epoch,
 		order, st.PeakIntermediate,
 		st.Envelope, st.Evaluation, st.ProverTime, st.Total,
 		st.ProverStats.MembershipChecks, st.ProverStats.Disjuncts,
-		st.ProverStats.BlockerChoices, st.EngineQuery,
+		st.ProverStats.BlockerChoices,
 		st.GraphStats.Edges, st.GraphStats.ConflictingVertices, st.GraphStats.MaxDegree,
 		st.GraphStats.Components, st.GraphStats.MaxComponent,
 		st.CacheHits, st.CacheMisses,

@@ -54,37 +54,6 @@ func TestConsistentQueryBasic(t *testing.T) {
 	}
 }
 
-func TestConsistentQueryModesAgree(t *testing.T) {
-	s := newSystem(t)
-	queries := []string{
-		"SELECT * FROM emp",
-		"SELECT * FROM emp WHERE salary > 120",
-		"SELECT * FROM emp EXCEPT SELECT * FROM emp WHERE id = 1",
-		"SELECT * FROM emp WHERE id = 2 UNION SELECT * FROM emp WHERE id = 4",
-	}
-	for _, q := range queries {
-		a, sa, err := s.ConsistentQuery(q, Options{Mode: ProverIndexed})
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
-		b, sb, err := s.ConsistentQuery(q, Options{Mode: ProverNaive})
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
-		if strings.Join(rowStrings(a.Rows), "|") != strings.Join(rowStrings(b.Rows), "|") {
-			t.Errorf("%q: modes disagree", q)
-		}
-		// The naive prover must issue per-check engine queries; indexed none
-		// beyond the envelope evaluation.
-		if sa.EngineQuery != 1 {
-			t.Errorf("%q: indexed mode ran %d engine queries, want 1 (envelope only)", q, sa.EngineQuery)
-		}
-		if sb.ProverStats.MembershipChecks > 0 && sb.EngineQuery <= 1 {
-			t.Errorf("%q: naive mode should run membership queries (ran %d)", q, sb.EngineQuery)
-		}
-	}
-}
-
 func TestConsistentQueryMatchesOracle(t *testing.T) {
 	s := newSystem(t)
 	en, err := s.RepairEnumerator()

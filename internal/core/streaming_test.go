@@ -106,7 +106,7 @@ func TestStreamingMatchesOracleNoCache(t *testing.T) {
 		s := randomJoinSystem(rng, 8)
 		for _, q := range streamingQueries {
 			assertMatchesOracle(t, s, q, fmt.Sprintf("trial %d", trial),
-				Options{DisableVerdictCache: true})
+				Options{Tier: TierForceProver, DisableVerdictCache: true})
 		}
 		s.Close()
 	}

@@ -66,13 +66,6 @@ func (s *System) TierCounts() TierCounters {
 // rewriter and the compiled tier-plan cache.
 func (s *System) ConstraintEpoch() uint64 { return s.cepoch.Load() }
 
-// certTuningSet reports whether any certification-plane tuning option is
-// active. Such runs measure the prover plane (naive membership, an
-// uncached run), so the planner must not route them away from it.
-func certTuningSet(opts Options) bool {
-	return opts.Mode != ProverIndexed || opts.DisableVerdictCache
-}
-
 // preparedRewriter returns the rewriter prepared for the current
 // constraint set, rebuilding it only when the constraint epoch moved.
 // This replaces the old behavior of constructing a fresh rewrite.Rewriter
@@ -91,7 +84,7 @@ func (s *System) preparedRewriter(epoch uint64) *rewrite.Rewriter {
 // signature, constraint epoch). It never fails: classification or
 // compilation trouble yields a prover-tier decision with reasons.
 func (s *System) tierDecision(plan ra.Node, sig string, opts Options) *cqaplan.Decision {
-	if opts.Tier == TierForceProver || certTuningSet(opts) {
+	if opts.Tier == TierForceProver {
 		return &cqaplan.Decision{Tier: cqaplan.TierProver, Reasons: []cqaplan.Reason{
 			{Code: cqaplan.ReasonForced, Detail: "prover tier forced by options"}}}
 	}

@@ -71,6 +71,20 @@ func TestTierRewriteEligibleSelection(t *testing.T) {
 	}
 }
 
+// TestTierUncachedKeepsRewrite: disabling the verdict cache tunes only the
+// prover tier's cache; it must not pin the prover on a rewrite-eligible
+// query.
+func TestTierUncachedKeepsRewrite(t *testing.T) {
+	s := newSystem(t)
+	_, st, err := s.ConsistentQuery("SELECT * FROM emp WHERE salary > 120", Options{DisableVerdictCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Strategy != "rewrite" {
+		t.Errorf("strategy = %q (reasons %v), want rewrite", st.Strategy, st.TierReasons)
+	}
+}
+
 // TestTierClassifierDemotions covers the hard guards on the standard
 // single-relation instance: each shape must land on the prover with the
 // matching reason, and the answers must still agree with the oracle.

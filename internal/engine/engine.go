@@ -12,7 +12,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"hippo/internal/ra"
 	"hippo/internal/schema"
@@ -59,10 +58,9 @@ type DB struct {
 	// tables, including its change-feed delivery. Holding it guarantees no
 	// write is in flight anywhere, so a snapshot taken under it is a
 	// consistent cut whose deltas have all been delivered.
-	wseq    sync.Mutex
-	mu      sync.RWMutex
-	tables  map[string]*storage.Table
-	queries atomic.Int64
+	wseq   sync.Mutex
+	mu     sync.RWMutex
+	tables map[string]*storage.Table
 
 	// clog, when attached, durably records every commit before its change
 	// feed is delivered; guarded by wseq (see SetCommitLog).
@@ -137,11 +135,6 @@ func (db *DB) notifySchema(reason string) {
 		l.SchemaChanged(reason)
 	}
 }
-
-// QueryCount returns the number of SELECT statements executed so far. The
-// Hippo benchmarks use it to count membership queries issued by the naive
-// prover.
-func (db *DB) QueryCount() int64 { return db.queries.Load() }
 
 // Table returns the named table.
 func (db *DB) Table(name string) (*storage.Table, error) {
@@ -376,7 +369,6 @@ func (db *DB) RunPlan(plan ra.Node) (*Result, error) {
 // RunPlanContext is RunPlan under ctx; leaf iterators observe
 // cancellation within a bounded number of rows.
 func (db *DB) RunPlanContext(ctx context.Context, plan ra.Node) (*Result, error) {
-	db.queries.Add(1)
 	rows, err := ra.Materialize(ctx, optimize(plan))
 	if err != nil {
 		return nil, err
@@ -384,12 +376,9 @@ func (db *DB) RunPlanContext(ctx context.Context, plan ra.Node) (*Result, error)
 	return &Result{Schema: plan.Schema(), Rows: rows}, nil
 }
 
-// RunPlanRaw executes a plan without any optimization. The naive prover
-// uses it so each membership check pays the full per-query evaluation
-// cost, standing in for the per-check RDBMS round trip of the paper's
-// base version.
+// RunPlanRaw executes a plan without any optimization: the plan runs
+// exactly as given, with no pushdown, join ordering or access-path choice.
 func (db *DB) RunPlanRaw(plan ra.Node) (*Result, error) {
-	db.queries.Add(1)
 	rows, err := ra.Materialize(context.Background(), plan)
 	if err != nil {
 		return nil, err

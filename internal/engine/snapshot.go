@@ -78,8 +78,7 @@ func (s *Snapshot) PlanQuery(q *sqlparse.Query) (ra.Node, error) {
 }
 
 // RunPlan executes a plan through the full planner (cost-based stage plus
-// access paths) and materializes the result, counting the execution on
-// the parent database.
+// access paths) and materializes the result.
 func (s *Snapshot) RunPlan(plan ra.Node) (*Result, error) {
 	return s.RunPlanContext(context.Background(), plan)
 }
@@ -87,7 +86,6 @@ func (s *Snapshot) RunPlan(plan ra.Node) (*Result, error) {
 // RunPlanContext is RunPlan under ctx: evaluation aborts within a bounded
 // number of rows of the context being cancelled or its deadline passing.
 func (s *Snapshot) RunPlanContext(ctx context.Context, plan ra.Node) (*Result, error) {
-	s.db.queries.Add(1)
 	rows, err := ra.Materialize(ctx, optimize(plan))
 	if err != nil {
 		return nil, err
@@ -102,7 +100,6 @@ func (s *Snapshot) RunPlanRaw(plan ra.Node) (*Result, error) {
 
 // RunPlanRawContext is RunPlanRaw under ctx.
 func (s *Snapshot) RunPlanRawContext(ctx context.Context, plan ra.Node) (*Result, error) {
-	s.db.queries.Add(1)
 	rows, err := ra.Materialize(ctx, plan)
 	if err != nil {
 		return nil, err
@@ -114,10 +111,8 @@ func (s *Snapshot) RunPlanRawContext(ctx context.Context, plan ra.Node) (*Result
 // produced by Optimize) under ctx, so the caller can consume rows
 // incrementally and feed them into downstream work while evaluation is
 // still running. The caller must Close the iterator; cancelling ctx stops
-// leaf iterators within a bounded number of rows. The execution counts as
-// one query.
+// leaf iterators within a bounded number of rows.
 func (s *Snapshot) OpenPlan(ctx context.Context, phys ra.Node) (ra.Iterator, error) {
-	s.db.queries.Add(1)
 	return phys.Open(ctx)
 }
 

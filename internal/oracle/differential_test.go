@@ -137,7 +137,7 @@ func TestDifferentialFastPathVsOracle(t *testing.T) {
 				t.Fatalf("instance %d query %q: cached repeat disagrees (hits=%d):\ncached: %s\noracle: %s",
 					instances, q, st.CacheHits, tupleSet(cachedAgain.Rows), tupleSet(want))
 			}
-			uncached, _, err := h.ConsistentQuery(q, hippo.WithoutVerdictCache())
+			uncached, _, err := h.ConsistentQuery(q, hippo.WithProverTier(), hippo.WithoutVerdictCache())
 			if err != nil {
 				t.Fatalf("uncached %q: %v", q, err)
 			}
@@ -220,7 +220,7 @@ func TestDifferentialCachedPathUnderUpdates(t *testing.T) {
 				if err != nil {
 					continue // outside Hippo's class for this constraint set
 				}
-				uncached, _, err := h.ConsistentQuery(q, hippo.WithoutVerdictCache())
+				uncached, _, err := h.ConsistentQuery(q, hippo.WithProverTier(), hippo.WithoutVerdictCache())
 				if err != nil {
 					t.Fatalf("uncached %q: %v", q, err)
 				}

@@ -8,6 +8,7 @@ import (
 	"hippo/internal/conflict"
 	"hippo/internal/constraint"
 	"hippo/internal/engine"
+	"hippo/internal/value"
 )
 
 // multiCompSetup builds emp with k independent conflict components (one
@@ -26,6 +27,80 @@ func multiCompSetup(t *testing.T, k int) (*engine.DB, *conflict.Hypergraph, *con
 		t.Fatal(err)
 	}
 	return db, h, ti
+}
+
+// satisfiableGlobal is the pre-decomposition search: one blocker
+// assignment over all negative atoms jointly, with global independence
+// checks. It is the reference the component-scoped
+// SatisfiableInSomeRepair must agree with.
+func (p *Prover) satisfiableGlobal(d Disjunct) (bool, error) {
+	s := conflict.VertexSet{}
+	// Positive atoms: must be present and independent.
+	for _, a := range d.Pos {
+		v, inDB, err := p.resolve(a)
+		if err != nil {
+			return false, err
+		}
+		if !inDB {
+			return false, nil
+		}
+		if s[v] {
+			continue
+		}
+		if !p.H.IndependentWith(s, v) {
+			return false, nil
+		}
+		s[v] = true
+	}
+	// Negative atoms: absent ones are excluded from every repair for free;
+	// present conflict-free ones are in every repair, killing the disjunct.
+	nset := conflict.VertexSet{}
+	var blockers [][]conflict.Edge
+	for _, a := range d.Neg {
+		v, inDB, err := p.resolve(a)
+		if err != nil {
+			return false, err
+		}
+		if !inDB {
+			continue
+		}
+		if s[v] {
+			return false, nil // required both in and out
+		}
+		edges := p.H.EdgesContaining(v)
+		if len(edges) == 0 {
+			return false, nil // conflict-free tuples survive in every repair
+		}
+		nset[v] = true
+		blockers = append(blockers, p.blockerCandidates(v, edges))
+	}
+	// Cheapest-first ordering shrinks the search tree.
+	sortByLen(blockers)
+	return p.assignBlockers(s, nset, blockers, 0)
+}
+
+// checkTupleGlobal is checkTuple decided by satisfiableGlobal instead of
+// the component-scoped search.
+func checkTupleGlobal(t *testing.T, p *Prover, db *engine.DB, sql string, tup value.Tuple) bool {
+	t.Helper()
+	f, err := BuildFormula(mustPlan(t, db, sql), tup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disjuncts, err := NegationDNF(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range disjuncts {
+		sat, err := p.satisfiableGlobal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sat {
+			return false
+		}
+	}
+	return true
 }
 
 // TestComponentDecompositionMatchesGlobal certifies every candidate of a
@@ -49,9 +124,8 @@ func TestComponentDecompositionMatchesGlobal(t *testing.T) {
 		for _, tup := range rows.Rows {
 			comp := New(h, IndexedMembership{TI: ti})
 			global := New(h, IndexedMembership{TI: ti})
-			global.DisableComponents = true
 			a := checkTuple(t, comp, db, sql, tup)
-			c := checkTuple(t, global, db, sql, tup)
+			c := checkTupleGlobal(t, global, db, sql, tup)
 			if a != c {
 				t.Fatalf("%q tuple %v: component=%v global=%v", sql, tup, a, c)
 			}
@@ -83,12 +157,11 @@ func TestMultiComponentDisjunct(t *testing.T) {
 	}
 	p := New(h, IndexedMembership{TI: ti})
 	global := New(h, IndexedMembership{TI: ti})
-	global.DisableComponents = true
 	// (1,100) is in both relations and conflicting in both: refuting it
 	// needs a blocking edge in each component simultaneously.
 	sql := "SELECT * FROM emp UNION SELECT * FROM mgr"
 	got := checkTuple(t, p, db, sql, ints(1, 100))
-	want := checkTuple(t, global, db, sql, ints(1, 100))
+	want := checkTupleGlobal(t, global, db, sql, ints(1, 100))
 	if got != want {
 		t.Fatalf("component=%v global=%v", got, want)
 	}
@@ -160,8 +233,7 @@ func TestComponentDecompositionRandomized(t *testing.T) {
 		for _, tup := range res.Rows {
 			comp := New(h, IndexedMembership{TI: ti})
 			global := New(h, IndexedMembership{TI: ti})
-			global.DisableComponents = true
-			if a, b := checkTuple(t, comp, db, sql, tup), checkTuple(t, global, db, sql, tup); a != b {
+			if a, b := checkTuple(t, comp, db, sql, tup), checkTupleGlobal(t, global, db, sql, tup); a != b {
 				t.Fatalf("trial %d tuple %v: component=%v global=%v", trial, tup, a, b)
 			}
 		}

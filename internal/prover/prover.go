@@ -1,32 +1,21 @@
 package prover
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 
 	"hippo/internal/conflict"
-	"hippo/internal/engine"
 	"hippo/internal/ra"
 	"hippo/internal/storage"
 	"hippo/internal/value"
 )
 
-// QuerySource is the database surface the naive membership check needs:
-// relation resolution plus raw plan execution. Both *engine.DB and
-// *engine.Snapshot satisfy it, so naive membership can run against a
-// pinned snapshot.
-type QuerySource interface {
-	Relation(name string) (storage.Relation, error)
-	RunPlanRaw(plan ra.Node) (*engine.Result, error)
-}
-
 // Membership answers base-relation membership checks, returning the live
-// RowIDs holding the tuple (empty when absent). The two implementations
-// embody the paper's optimization axis: IndexedMembership answers from
-// in-memory structures ("without executing any queries on the database"),
-// NaiveMembership issues one engine query per check, as in Hippo's base
-// version.
+// RowIDs holding the tuple (empty when absent). IndexedMembership, the one
+// the serving path uses, answers from in-memory structures ("without
+// executing any queries on the database", paper §2); the paper's base
+// version, one database query per check, lives with the E6 experiment in
+// internal/bench.
 type Membership interface {
 	Lookup(rel string, t value.Tuple) ([]storage.RowID, error)
 }
@@ -39,50 +28,6 @@ type IndexedMembership struct {
 
 // Lookup returns the live rows equal to t.
 func (m IndexedMembership) Lookup(rel string, t value.Tuple) ([]storage.RowID, error) {
-	return m.TI.Lookup(rel, t)
-}
-
-// NaiveMembership issues a SELECT against the engine for every check —
-// the paper's "costly procedure" that its optimizations eliminate. The
-// tuple index is still consulted afterwards to map the tuple to its
-// hypergraph vertex (the query only establishes membership).
-type NaiveMembership struct {
-	DB QuerySource
-	TI *conflict.TupleIndex
-}
-
-// Lookup runs a membership query, then resolves RowIDs via the index.
-func (m NaiveMembership) Lookup(rel string, t value.Tuple) ([]storage.RowID, error) {
-	table, err := m.DB.Relation(rel)
-	if err != nil {
-		return nil, err
-	}
-	sch := table.Schema()
-	if sch.Len() != len(t) {
-		return nil, fmt.Errorf("prover: membership tuple arity %d vs relation %s arity %d",
-			len(t), rel, sch.Len())
-	}
-	var pred ra.Expr
-	for i, v := range t {
-		var conj ra.Expr
-		if v.IsNull() {
-			conj = ra.IsNull{E: ra.Col{Index: i}}
-		} else {
-			conj = ra.Cmp{Op: ra.EQ, L: ra.Col{Index: i}, R: ra.Const{V: v}}
-		}
-		pred = ra.Conjoin(pred, conj)
-	}
-	plan := ra.Node(&ra.Scan{Table: table})
-	if pred != nil {
-		plan = &ra.Select{Child: plan, Pred: pred}
-	}
-	res, err := m.DB.RunPlanRaw(plan)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Rows) == 0 {
-		return nil, nil
-	}
 	return m.TI.Lookup(rel, t)
 }
 
@@ -136,10 +81,6 @@ type depTracker struct {
 type Prover struct {
 	H      *conflict.Hypergraph
 	Member Membership
-	// DisableComponents falls back to the single global blocker search
-	// over all negative atoms jointly (the pre-decomposition architecture,
-	// kept as the reference for differential testing).
-	DisableComponents bool
 
 	deps  *depTracker
 	Stats Stats
@@ -218,9 +159,6 @@ func (p *Prover) IsConsistent(f Formula) (bool, error) {
 // so each component is searched on its own — cost exponential only in the
 // largest component, never in the whole disjunct.
 func (p *Prover) SatisfiableInSomeRepair(d Disjunct) (bool, error) {
-	if p.DisableComponents {
-		return p.satisfiableGlobal(d)
-	}
 	groups, nset, live, err := p.resolveDisjunct(d)
 	if err != nil || !live {
 		return false, err
@@ -329,55 +267,6 @@ func (p *Prover) solveComponent(tk *compTask, nset conflict.VertexSet) (bool, er
 	blockers := make([][]conflict.Edge, 0, len(tk.neg))
 	for _, v := range tk.neg {
 		blockers = append(blockers, p.blockerCandidates(v, p.H.EdgesContaining(v)))
-	}
-	// Cheapest-first ordering shrinks the search tree.
-	sortByLen(blockers)
-	return p.assignBlockers(s, nset, blockers, 0)
-}
-
-// satisfiableGlobal is the pre-decomposition search: one blocker
-// assignment over all negative atoms jointly, with global independence
-// checks. Kept as the DisableComponents baseline.
-func (p *Prover) satisfiableGlobal(d Disjunct) (bool, error) {
-	s := conflict.VertexSet{}
-	// Positive atoms: must be present and independent.
-	for _, a := range d.Pos {
-		v, inDB, err := p.resolve(a)
-		if err != nil {
-			return false, err
-		}
-		if !inDB {
-			return false, nil
-		}
-		if s[v] {
-			continue
-		}
-		if !p.H.IndependentWith(s, v) {
-			return false, nil
-		}
-		s[v] = true
-	}
-	// Negative atoms: absent ones are excluded from every repair for free;
-	// present conflict-free ones are in every repair, killing the disjunct.
-	nset := conflict.VertexSet{}
-	var blockers [][]conflict.Edge
-	for _, a := range d.Neg {
-		v, inDB, err := p.resolve(a)
-		if err != nil {
-			return false, err
-		}
-		if !inDB {
-			continue
-		}
-		if s[v] {
-			return false, nil // required both in and out
-		}
-		edges := p.H.EdgesContaining(v)
-		if len(edges) == 0 {
-			return false, nil // conflict-free tuples survive in every repair
-		}
-		nset[v] = true
-		blockers = append(blockers, p.blockerCandidates(v, edges))
 	}
 	// Cheapest-first ordering shrinks the search tree.
 	sortByLen(blockers)

@@ -8,12 +8,11 @@ import (
 	"hippo/internal/engine"
 	"hippo/internal/ra"
 	"hippo/internal/sqlparse"
-	"hippo/internal/storage"
 	"hippo/internal/value"
 )
 
 // setup builds emp(id,salary) with FD id->salary, conflicts on id 1 and 3,
-// and returns both prover variants.
+// and returns what a prover needs.
 func setup(t *testing.T) (*engine.DB, *conflict.Hypergraph, *conflict.TupleIndex) {
 	t.Helper()
 	db := engine.New()
@@ -193,68 +192,6 @@ func mustPlan(t *testing.T, db *engine.DB, sql string) ra.Node {
 		t.Fatal(err)
 	}
 	return plan
-}
-
-func TestNaiveMembershipCountsQueries(t *testing.T) {
-	db, h, ti := setup(t)
-	p := New(h, NaiveMembership{DB: db, TI: ti})
-	before := db.QueryCount()
-	if !checkTuple(t, p, db, "SELECT * FROM emp", ints(2, 150)) {
-		t.Error("(2,150) should be consistent")
-	}
-	if db.QueryCount() == before {
-		t.Error("naive membership should issue engine queries")
-	}
-	if p.Stats.MembershipChecks == 0 || p.Stats.TuplesChecked != 1 {
-		t.Errorf("stats = %+v", p.Stats)
-	}
-	// Indexed prover issues none.
-	db2, h2, ti2 := setup(t)
-	p2 := New(h2, IndexedMembership{TI: ti2})
-	before = db2.QueryCount()
-	checkTuple(t, p2, db2, "SELECT * FROM emp", ints(2, 150))
-	if db2.QueryCount() != before {
-		t.Error("indexed membership must not query the engine")
-	}
-}
-
-func TestNaiveMembershipNullColumns(t *testing.T) {
-	db := engine.New()
-	mustExec(db, "CREATE TABLE n (a INT, b INT)")
-	mustExec(db, "INSERT INTO n VALUES (1, NULL)")
-	h, ti, _, err := conflict.NewDetector(db).Detect(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The tuple index has no tables when there are no constraints; build
-	// membership over an explicitly indexed relation instead.
-	_ = h
-	_ = ti
-	ti2 := conflict.NewTupleIndex(map[string]*storage.Table{"n": mustTable(t, db, "n")})
-	m := NaiveMembership{DB: db, TI: ti2}
-	ids, err := m.Lookup("n", value.Tuple{value.Int(1), value.Null()})
-	if err != nil || len(ids) != 1 {
-		t.Errorf("NULL-aware membership = %v, %v", ids, err)
-	}
-	ids, err = m.Lookup("n", value.Tuple{value.Int(1), value.Int(5)})
-	if err != nil || len(ids) != 0 {
-		t.Errorf("missing tuple = %v, %v", ids, err)
-	}
-	if _, err := m.Lookup("n", value.Tuple{value.Int(1)}); err == nil {
-		t.Error("arity mismatch should error")
-	}
-	if _, err := m.Lookup("zzz", value.Tuple{}); err == nil {
-		t.Error("unknown relation should error")
-	}
-}
-
-func mustTable(t *testing.T, db *engine.DB, name string) *storage.Table {
-	t.Helper()
-	tb, err := db.Table(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tb
 }
 
 func TestProverStatsAccumulate(t *testing.T) {

@@ -111,7 +111,7 @@ func (v Value) String() string {
 }
 
 // Go returns the value as a native Go value (nil, int64, float64, string, or
-// bool), which is the representation used by the database/sql driver.
+// bool), the representation hippod encodes as JSON.
 func (v Value) Go() any {
 	switch v.K {
 	case KindInt:
@@ -124,45 +124,6 @@ func (v Value) Go() any {
 		return v.B
 	default:
 		return nil
-	}
-}
-
-// FromGo converts a native Go value into a Value. Integer and float types of
-// any width are widened; unsupported types yield an error.
-func FromGo(x any) (Value, error) {
-	switch t := x.(type) {
-	case nil:
-		return Null(), nil
-	case int:
-		return Int(int64(t)), nil
-	case int8:
-		return Int(int64(t)), nil
-	case int16:
-		return Int(int64(t)), nil
-	case int32:
-		return Int(int64(t)), nil
-	case int64:
-		return Int(t), nil
-	case uint8:
-		return Int(int64(t)), nil
-	case uint16:
-		return Int(int64(t)), nil
-	case uint32:
-		return Int(int64(t)), nil
-	case float32:
-		return Float(float64(t)), nil
-	case float64:
-		return Float(t), nil
-	case string:
-		return Text(t), nil
-	case bool:
-		return Bool(t), nil
-	case []byte:
-		return Text(string(t)), nil
-	case Value:
-		return t, nil
-	default:
-		return Null(), fmt.Errorf("value: unsupported Go type %T", x)
 	}
 }
 
