@@ -494,6 +494,16 @@ type AggRange = aggregate.Range
 // FD constraint on the queried relation; where optionally filters rows
 // (e.g. "salary > 100", or "" for none).
 func (db *DB) ConsistentAggregate(rel string, fn AggFunc, attr, where string) (AggRange, error) {
+	q, err := db.aggQuery(rel, fn, attr, where)
+	if err != nil {
+		return AggRange{}, err
+	}
+	return aggregate.Consistent(db.sys.DB(), q)
+}
+
+// aggQuery builds a range-aggregation query over rel under its single
+// registered FD.
+func (db *DB) aggQuery(rel string, fn AggFunc, attr, where string) (aggregate.Query, error) {
 	var fd *constraint.FD
 	for _, c := range db.sys.Constraints() {
 		f, ok := c.(constraint.FD)
@@ -501,17 +511,14 @@ func (db *DB) ConsistentAggregate(rel string, fn AggFunc, attr, where string) (A
 			continue
 		}
 		if fd != nil {
-			return AggRange{}, fmt.Errorf("hippo: range aggregation supports exactly one FD on %q, found several", rel)
+			return aggregate.Query{}, fmt.Errorf("hippo: range aggregation supports exactly one FD on %q, found several", rel)
 		}
-		cp := f
-		fd = &cp
+		fd = &f
 	}
 	if fd == nil {
-		return AggRange{}, fmt.Errorf("hippo: range aggregation requires an FD constraint on %q", rel)
+		return aggregate.Query{}, fmt.Errorf("hippo: range aggregation requires an FD constraint on %q", rel)
 	}
-	return aggregate.Consistent(db.sys.DB(), aggregate.Query{
-		Rel: rel, Fn: fn, Attr: attr, Where: where, FD: *fd,
-	})
+	return aggregate.Query{Rel: rel, Fn: fn, Attr: attr, Where: where, FD: *fd}, nil
 }
 
 // AggGroup is one group's range-consistent aggregation result.
@@ -521,23 +528,9 @@ type AggGroup = aggregate.GroupResult
 // distinct value of the grouping columns (GROUP BY semantics), under the
 // single registered FD on rel. Results are sorted by group key.
 func (db *DB) ConsistentGroupedAggregate(rel string, fn AggFunc, attr, where string, groupBy ...string) ([]AggGroup, error) {
-	var fd *constraint.FD
-	for _, c := range db.sys.Constraints() {
-		f, ok := c.(constraint.FD)
-		if !ok || !strings.EqualFold(f.Rel, rel) {
-			continue
-		}
-		if fd != nil {
-			return nil, fmt.Errorf("hippo: range aggregation supports exactly one FD on %q, found several", rel)
-		}
-		cp := f
-		fd = &cp
+	q, err := db.aggQuery(rel, fn, attr, where)
+	if err != nil {
+		return nil, err
 	}
-	if fd == nil {
-		return nil, fmt.Errorf("hippo: range aggregation requires an FD constraint on %q", rel)
-	}
-	return aggregate.ConsistentGrouped(db.sys.DB(), aggregate.GroupedQuery{
-		Query:   aggregate.Query{Rel: rel, Fn: fn, Attr: attr, Where: where, FD: *fd},
-		GroupBy: groupBy,
-	})
+	return aggregate.ConsistentGrouped(db.sys.DB(), aggregate.GroupedQuery{Query: q, GroupBy: groupBy})
 }

@@ -97,51 +97,71 @@ type Query struct {
 
 // Consistent computes the range-consistent answer to q over db.
 func Consistent(db *engine.DB, q Query) (Range, error) {
+	r, err := resolve(db, q)
+	if err != nil {
+		return Range{}, err
+	}
+	return r.bound(r.pred)
+}
+
+// resolved is a Query checked and bound to its table: the FD's column
+// positions, the aggregated column's position (-1 for COUNT) and the
+// planned filter.
+type resolved struct {
+	fn       Func
+	t        *storage.Table
+	lhs, rhs []int
+	attrIdx  int
+	pred     ra.Expr
+}
+
+// resolve validates q against db and binds it to its table. Consistent
+// and ConsistentGrouped share it, so both reject the same queries.
+func resolve(db *engine.DB, q Query) (*resolved, error) {
 	if !strings.EqualFold(q.FD.Rel, q.Rel) {
-		return Range{}, fmt.Errorf("aggregate: FD is on %q, query on %q", q.FD.Rel, q.Rel)
+		return nil, fmt.Errorf("aggregate: FD is on %q, query on %q", q.FD.Rel, q.Rel)
 	}
 	t, err := db.Table(q.Rel)
 	if err != nil {
-		return Range{}, err
+		return nil, err
 	}
 	sch := t.Schema()
-	lhs, err := resolveCols(sch, q.FD.LHS)
-	if err != nil {
-		return Range{}, err
+	r := &resolved{fn: q.Fn, t: t, attrIdx: -1}
+	if r.lhs, err = resolveCols(sch, q.FD.LHS); err != nil {
+		return nil, err
 	}
-	rhs, err := resolveCols(sch, q.FD.RHS)
-	if err != nil {
-		return Range{}, err
+	if r.rhs, err = resolveCols(sch, q.FD.RHS); err != nil {
+		return nil, err
 	}
-	attrIdx := -1
 	if q.Fn != Count {
-		attrIdx, err = sch.Resolve("", q.Attr)
-		if err != nil {
-			return Range{}, err
+		if r.attrIdx, err = sch.Resolve("", q.Attr); err != nil {
+			return nil, err
 		}
-		kind := sch.Columns[attrIdx].Type
+		kind := sch.Columns[r.attrIdx].Type
 		if kind != value.KindInt && kind != value.KindFloat {
-			return Range{}, fmt.Errorf("aggregate: %s(%s) requires a numeric column, got %s",
+			return nil, fmt.Errorf("aggregate: %s(%s) requires a numeric column, got %s",
 				q.Fn, q.Attr, kind)
 		}
 	}
-	var pred ra.Expr
 	if q.Where != "" {
 		parsed, err := parseWhere(q.Rel, q.Where)
 		if err != nil {
-			return Range{}, err
+			return nil, err
 		}
-		pred, err = engine.PlanScalar(parsed, sch)
-		if err != nil {
-			return Range{}, err
+		if r.pred, err = engine.PlanScalar(parsed, sch); err != nil {
+			return nil, err
 		}
 	}
+	return r, nil
+}
 
-	groups, err := partition(t, lhs, rhs, attrIdx, pred)
+// bound computes the aggregate's range over the tuples pred accepts.
+func (r *resolved) bound(pred ra.Expr) (Range, error) {
+	groups, err := partition(r.t, r.lhs, r.rhs, r.attrIdx, pred)
 	if err != nil {
 		return Range{}, err
 	}
-	switch q.Fn {
+	switch r.fn {
 	case Count:
 		return rangeCount(groups), nil
 	case Sum:

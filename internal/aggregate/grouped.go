@@ -36,31 +36,19 @@ func ConsistentGrouped(db *engine.DB, q GroupedQuery) ([]GroupResult, error) {
 	if len(q.GroupBy) == 0 {
 		return nil, fmt.Errorf("aggregate: ConsistentGrouped requires grouping columns")
 	}
-	t, err := db.Table(q.Rel)
+	r, err := resolve(db, q.Query)
 	if err != nil {
 		return nil, err
 	}
-	sch := t.Schema()
-	gcols, err := resolveCols(sch, q.GroupBy)
+	gcols, err := resolveCols(r.t.Schema(), q.GroupBy)
 	if err != nil {
 		return nil, err
-	}
-	var pred ra.Expr
-	if q.Where != "" {
-		parsed, err := parseWhere(q.Rel, q.Where)
-		if err != nil {
-			return nil, err
-		}
-		pred, err = engine.PlanScalar(parsed, sch)
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	// Collect the distinct grouping keys among qualifying tuples.
 	keys := map[string]value.Tuple{}
 	keyOrder := []string{}
-	err = scanQualifying(t, pred, func(row value.Tuple) {
+	err = scanQualifying(r.t, r.pred, func(row value.Tuple) {
 		k := value.Project(row, gcols)
 		ks := k.Key()
 		if _, ok := keys[ks]; !ok {
@@ -77,39 +65,11 @@ func ConsistentGrouped(db *engine.DB, q GroupedQuery) ([]GroupResult, error) {
 		key := keys[ks]
 		// Per-group bound = ungrouped bound with "G = key" added to the
 		// filter; group selection composes with the user's predicate.
-		gpred := groupPredicate(gcols, key)
-		combined := ra.Conjoin(pred, gpred)
-		lhs, err := resolveCols(sch, q.FD.LHS)
+		rng, err := r.bound(ra.Conjoin(r.pred, groupPredicate(gcols, key)))
 		if err != nil {
 			return nil, err
 		}
-		rhs, err := resolveCols(sch, q.FD.RHS)
-		if err != nil {
-			return nil, err
-		}
-		attrIdx := -1
-		if q.Fn != Count {
-			attrIdx, err = sch.Resolve("", q.Attr)
-			if err != nil {
-				return nil, err
-			}
-		}
-		groups, err := partition(t, lhs, rhs, attrIdx, combined)
-		if err != nil {
-			return nil, err
-		}
-		var r Range
-		switch q.Fn {
-		case Count:
-			r = rangeCount(groups)
-		case Sum:
-			r = rangeSum(groups)
-		case Min:
-			r = rangeMinMax(groups, true)
-		default:
-			r = rangeMinMax(groups, false)
-		}
-		out = append(out, GroupResult{Key: key, Range: r})
+		out = append(out, GroupResult{Key: key, Range: rng})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return value.CompareTuples(out[i].Key, out[j].Key) < 0

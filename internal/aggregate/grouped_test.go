@@ -99,6 +99,24 @@ func TestConsistentGroupedValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("bad WHERE should fail")
 	}
+	// The grouped entry point rejects what Consistent rejects.
+	mustExec(db, "CREATE TABLE staff (id INT, name TEXT, dept INT)")
+	mustExec(db, "INSERT INTO staff VALUES (1, 'ann', 10), (1, 'bob', 10), (2, 'cy', 20)")
+	if _, err := ConsistentGrouped(db, GroupedQuery{
+		Query: Query{Rel: "staff", Fn: Sum, Attr: "name",
+			FD: constraint.FD{Rel: "staff", LHS: []string{"id"}, RHS: []string{"name"}}},
+		GroupBy: []string{"dept"},
+	}); err == nil {
+		t.Error("grouped SUM over a TEXT column should fail")
+	}
+	otherFD := groupedFD()
+	otherFD.Rel = "staff"
+	if _, err := ConsistentGrouped(db, GroupedQuery{
+		Query:   Query{Rel: "m", Fn: Sum, Attr: "reading", FD: otherFD},
+		GroupBy: []string{"site"},
+	}); err == nil {
+		t.Error("an FD on another relation should fail")
+	}
 }
 
 // Randomized oracle check: per-group bounds match brute force over all

@@ -31,10 +31,16 @@ func AblationDetection(sc Scale) (Table, error) {
 		if _, err := workloadEmp(db, n, 0.02, 37); err != nil {
 			return t, err
 		}
-		fast := conflict.NewDetector(db)
+		// The FD's denial form runs the generic path: Detect picks the
+		// path by constraint type.
+		den, err := fd.Denial(db)
+		if err != nil {
+			return t, err
+		}
+		det := conflict.NewDetector(db)
 		var fastEdges int
 		dFast, err := timeIt(sc.Reps, func() error {
-			h, _, _, err := fast.Detect([]constraint.Constraint{fd})
+			h, _, _, err := det.Detect([]constraint.Constraint{fd})
 			if err != nil {
 				return err
 			}
@@ -44,11 +50,9 @@ func AblationDetection(sc Scale) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		slow := conflict.NewDetector(db)
-		slow.DisableFDFastPath = true
 		var slowEdges int
 		dSlow, err := timeIt(sc.Reps, func() error {
-			h, _, _, err := slow.Detect([]constraint.Constraint{fd})
+			h, _, _, err := det.Detect([]constraint.Constraint{den})
 			if err != nil {
 				return err
 			}

@@ -25,9 +25,6 @@ type DetectStats struct {
 // assembles the conflict hypergraph.
 type Detector struct {
 	db *engine.DB
-	// DisableFDFastPath forces the generic denial-join path even for
-	// functional dependencies; used by the detection ablation benchmark.
-	DisableFDFastPath bool
 }
 
 // NewDetector creates a detector over db.
@@ -60,8 +57,7 @@ func (d *Detector) Detect(constraints []constraint.Constraint) (*Hypergraph, *Tu
 				return nil, nil, stats, fmt.Errorf("conflict: constraint %s references unknown relation %q", c, a.Rel)
 			}
 		}
-		fd, isFD := c.(constraint.FD)
-		if isFD && !d.DisableFDFastPath {
+		if fd, ok := c.(constraint.FD); ok {
 			if err := d.detectFD(h, fd, &stats); err != nil {
 				return nil, nil, stats, err
 			}

@@ -61,12 +61,7 @@ func TestDetectFollowsDenialNullSemantics(t *testing.T) {
 		t.Errorf("FD fast path: edges %s, want %s", got, want)
 	}
 
-	det := NewDetector(db)
-	det.DisableFDFastPath = true
-	generic, _, _, err := det.Detect(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	generic, _, _ := detect(t, db, denialForms(t, db, cs...)...)
 	if got := strings.Join(edgeStrings(generic), " "); got != want {
 		t.Errorf("generic denial path: edges %s, want %s", got, want)
 	}

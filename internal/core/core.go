@@ -100,8 +100,8 @@ type Stats struct {
 	// TierReasons lists the classifier's reasons for ruling out the
 	// rewrite tier (empty when the rewrite tier served the query).
 	TierReasons []string
-	// Classify is the tier-classification time; plan-cache hits make it
-	// near zero, so it bounds the overhead ineligible queries pay.
+	// Classify is the tier-classification time, which bounds the
+	// overhead ineligible queries pay.
 	Classify time.Duration
 	// TierFallback reports that a compiled rewrite-tier plan failed at
 	// run time and the prover tier silently re-served the query.
@@ -216,15 +216,14 @@ type System struct {
 	vcache *verdictcache.Cache
 
 	// cepoch counts constraint-set and schema changes; it keys the
-	// prepared rewriter below and the compiled tier-plan cache, so both
-	// invalidate the moment a constraint registers or DDL runs. rwmu
-	// guards the rewriter memo (rwmu is a leaf lock: it is never held
-	// while taking mu, only around Prepare which read-locks mu).
+	// prepared rewriter below, so the rewriter is rebuilt the moment a
+	// constraint registers or DDL runs. rwmu guards the rewriter memo
+	// (rwmu is a leaf lock: it is never held while taking mu, only around
+	// Prepare which read-locks mu).
 	cepoch  atomic.Uint64
 	rwmu    sync.Mutex
 	rwprep  *rewrite.Rewriter
 	rwepoch uint64
-	tiers   *cqaplan.Cache
 
 	// tierRewrite, tierProver and tierFallback back TierCounts.
 	tierRewrite, tierProver, tierFallback atomic.Int64
@@ -262,7 +261,6 @@ func NewSystem(db *engine.DB, cs []constraint.Constraint) *System {
 		constraints: cs,
 		pins:        make(map[uint64]int),
 		vcache:      verdictcache.New(0),
-		tiers:       cqaplan.NewCache(),
 	}
 	s.stale.Store(true)
 	db.AddListener(s)
@@ -330,8 +328,8 @@ func (s *System) AddConstraint(c constraint.Constraint) error {
 	}
 	s.constraints = append(s.constraints, c)
 	s.invalidateLocked()
-	// Advance the constraint epoch: the prepared rewriter and every
-	// compiled tier plan were built against the old constraint set.
+	// Advance the constraint epoch: the prepared rewriter was built
+	// against the old constraint set.
 	s.cepoch.Add(1)
 	return nil
 }
@@ -373,28 +371,10 @@ func (s *System) invalidateLocked() {
 // can force the path without queueing 64k deltas.
 var maxPendingDeltas = 65536
 
-// DataChanged queues a DML delta for incremental application. It
-// implements engine.ChangeListener.
-func (s *System) DataChanged(table string, ch storage.Change) {
-	s.qmu.Lock()
-	if s.analyzed && !s.needFull {
-		if len(s.pending) >= maxPendingDeltas {
-			s.needFull = true
-			s.pending = nil
-			s.overflows.Add(1)
-		} else {
-			s.pending = append(s.pending, conflict.Delta{Table: table, Change: ch})
-		}
-	}
-	s.qmu.Unlock()
-	s.stale.Store(true)
-	s.nudgeCheckpointer()
-}
-
-// DataBatch queues a committed batch's coalesced change feed in one lock
-// acquisition. It implements engine.BatchListener: the engine hands whole
-// batches here instead of row by row, so a bulk load reaches the next
-// drain as one contiguous run of deltas.
+// DataBatch queues one commit's change feed in one lock acquisition. It
+// implements engine.ChangeListener: the engine hands each committed
+// statement or batch here whole, so a bulk load reaches the next drain as
+// one contiguous run of deltas.
 func (s *System) DataBatch(changes []storage.TableChange) {
 	s.qmu.Lock()
 	if s.analyzed && !s.needFull {
@@ -430,9 +410,9 @@ func (s *System) SchemaChanged(string) {
 	s.qmu.Unlock()
 	s.stale.Store(true)
 	// DDL changes the schemas residue predicates are compiled against:
-	// advance the constraint epoch so the rewriter and the compiled
-	// tier-plan cache rebuild (cepoch is atomic — no mu needed, matching
-	// this callback's lock-free contract).
+	// advance the constraint epoch so the rewriter rebuilds (cepoch is
+	// atomic — no mu needed, matching this callback's lock-free
+	// contract).
 	s.cepoch.Add(1)
 	s.nudgeCheckpointer()
 }
@@ -864,7 +844,7 @@ func (s *System) runQueryViewBound(ctx context.Context, v *queryView, plan ra.No
 	// plan (rewrite tier, zero certification); everything else takes the
 	// prover tier.
 	tc0 := time.Now()
-	dec := s.tierDecision(plan, stats.QueryPlan, opts)
+	dec := s.tierDecision(plan, opts)
 	stats.Classify = time.Since(tc0)
 	stats.Strategy = dec.Tier.String()
 	stats.TierReasons = dec.ReasonStrings()

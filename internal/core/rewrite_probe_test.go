@@ -82,7 +82,7 @@ func rewriteReference(t *testing.T, s *System, sn *Snapshot, q string) []string 
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := s.tierDecision(plan, ra.Format(plan), Options{})
+	dec := s.tierDecision(plan, Options{})
 	if dec.Tier != cqaplan.TierRewrite || dec.Residues == 0 {
 		t.Fatalf("%q: decision tier %s with %d residues (reasons %v), want rewrite with residues",
 			q, dec.Tier, dec.Residues, dec.ReasonStrings())

@@ -62,8 +62,7 @@ func (s *System) TierCounts() TierCounters {
 }
 
 // ConstraintEpoch returns the constraint-change counter: it advances on
-// every AddConstraint and DDL statement, and keys both the prepared
-// rewriter and the compiled tier-plan cache.
+// every AddConstraint and DDL statement, and keys the prepared rewriter.
 func (s *System) ConstraintEpoch() uint64 { return s.cepoch.Load() }
 
 // preparedRewriter returns the rewriter prepared for the current
@@ -80,33 +79,14 @@ func (s *System) preparedRewriter(epoch uint64) *rewrite.Rewriter {
 	return s.rwprep
 }
 
-// tierDecision classifies the plan for this run, memoized per (plan
-// signature, constraint epoch). It never fails: classification or
-// compilation trouble yields a prover-tier decision with reasons.
-func (s *System) tierDecision(plan ra.Node, sig string, opts Options) *cqaplan.Decision {
+// tierDecision classifies the plan for this run. It never fails:
+// classification trouble yields a prover-tier decision with reasons.
+func (s *System) tierDecision(plan ra.Node, opts Options) *cqaplan.Decision {
 	if opts.Tier == TierForceProver {
 		return &cqaplan.Decision{Tier: cqaplan.TierProver, Reasons: []cqaplan.Reason{
 			{Code: cqaplan.ReasonForced, Detail: "prover tier forced by options"}}}
 	}
-	epoch := s.cepoch.Load()
-	if d, ok := s.tiers.Lookup(sig, epoch); ok {
-		return d
-	}
-	rw := s.preparedRewriter(epoch)
-	d := cqaplan.Classify(rw, s.Constraints(), plan)
-	if d.Plan != nil {
-		// Cache the compiled plan bound to the live tables, not to this
-		// run's snapshot, so a cached decision never pins snapshot slabs;
-		// each run rebinds it to its own view.
-		if live, err := engine.Rebind(d.Plan, s.db); err == nil {
-			d.Plan = live
-		} else {
-			d = &cqaplan.Decision{Tier: cqaplan.TierProver, Reasons: []cqaplan.Reason{
-				{Code: cqaplan.ReasonCompileFailed, Detail: err.Error()}}}
-		}
-	}
-	s.tiers.Store(sig, epoch, d)
-	return d
+	return cqaplan.Classify(s.preparedRewriter(s.cepoch.Load()), s.Constraints(), plan)
 }
 
 // testTierExecHook, when set (tests only), runs at the top of every

@@ -175,7 +175,7 @@ func TestTierHybridCoverage(t *testing.T) {
 
 // TestTierReclassifiesOnConstraintChange: the same query must be
 // re-decided after a mid-session AddConstraint — the constraint epoch
-// invalidates both the decision cache and the prepared rewriter.
+// invalidates the prepared rewriter.
 func TestTierReclassifiesOnConstraintChange(t *testing.T) {
 	s := newSystem(t)
 	const q = "SELECT * FROM emp WHERE salary > 120"

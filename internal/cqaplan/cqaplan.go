@@ -94,8 +94,8 @@ func (r Reason) String() string {
 }
 
 // Decision is the planner's verdict for one (query plan, constraint set)
-// pair. It is immutable once built and safe to cache and share: Plan is a
-// logical tree that callers rebind per run, never mutate.
+// pair. It is immutable once built: Plan is a logical tree that callers
+// rebind to their view, never mutate.
 type Decision struct {
 	Tier Tier
 	// Plan is the compiled rewriting (rewrite tier); nil for the prover

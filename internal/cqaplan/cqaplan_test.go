@@ -1,7 +1,6 @@
 package cqaplan
 
 import (
-	"fmt"
 	"testing"
 
 	"hippo/internal/constraint"
@@ -114,44 +113,5 @@ func TestClassify(t *testing.T) {
 				t.Errorf("reasons %v lack %q", d.ReasonStrings(), tc.reason)
 			}
 		})
-	}
-}
-
-func TestCacheEpochInvalidates(t *testing.T) {
-	c := NewCache()
-	d := &Decision{Tier: TierRewrite}
-	c.Store("q", 1, d)
-	if got, ok := c.Lookup("q", 1); !ok || got != d {
-		t.Fatalf("Lookup at the stored epoch = %v, %v", got, ok)
-	}
-	if _, ok := c.Lookup("q", 2); ok {
-		t.Error("Lookup at a newer epoch served a stale decision")
-	}
-	c.Store("r", 2, &Decision{})
-	if c.Len() != 1 {
-		t.Errorf("Len after an epoch change = %d, want 1", c.Len())
-	}
-	if _, ok := c.Lookup("q", 1); ok {
-		t.Error("the old epoch's entry survived the epoch change")
-	}
-}
-
-func TestCacheResetsWhenFull(t *testing.T) {
-	c := NewCache()
-	for i := 0; i < maxCacheEntries; i++ {
-		c.Store(fmt.Sprint("q", i), 7, &Decision{})
-	}
-	if c.Len() != maxCacheEntries {
-		t.Fatalf("Len = %d, want %d", c.Len(), maxCacheEntries)
-	}
-	c.Store("one more", 7, &Decision{})
-	if c.Len() != 1 {
-		t.Errorf("Len after overflowing %d entries = %d, want 1", maxCacheEntries, c.Len())
-	}
-	if _, ok := c.Lookup("one more", 7); !ok {
-		t.Error("the entry that triggered the reset was not kept")
-	}
-	if _, ok := c.Lookup("q0", 7); ok {
-		t.Error("an entry from before the reset survived")
 	}
 }

@@ -3,19 +3,24 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"hippo/internal/storage"
 )
 
-// feedRecorder captures the change feed a listener observes.
+// feedRecorder captures the change feed a listener observes: each
+// DataBatch call, and all of their changes in delivery order.
 type feedRecorder struct {
-	data   []storage.TableChange
-	schema []string
+	batches [][]storage.TableChange
+	data    []storage.TableChange
+	schema  []string
 }
 
-func (r *feedRecorder) DataChanged(table string, ch storage.Change) {
-	r.data = append(r.data, storage.TableChange{Table: table, Change: ch})
+func (r *feedRecorder) DataBatch(changes []storage.TableChange) {
+	r.batches = append(r.batches, slices.Clone(changes))
+	r.data = append(r.data, changes...)
 }
 
 func (r *feedRecorder) SchemaChanged(reason string) { r.schema = append(r.schema, reason) }
@@ -72,6 +77,88 @@ func TestExecBatchCoalescesFeed(t *testing.T) {
 	}
 	if rec.data[1].Change.Kind != storage.ChangeDelete {
 		t.Fatalf("second surviving event = %+v, want delete of (1,10)", rec.data[1])
+	}
+}
+
+// recordingLog is a commit log that keeps every batch it is asked to
+// append and never fails.
+type recordingLog struct{ batches [][]storage.TableChange }
+
+func (l *recordingLog) AppendBatch(feed []storage.TableChange) error {
+	l.batches = append(l.batches, slices.Clone(feed))
+	return nil
+}
+
+func (l *recordingLog) AppendDDL(string) error { return nil }
+
+// TestStatementFeedOneBatchPerCommit checks that a multi-row INSERT and a
+// multi-row DELETE each reach a listener as one DataBatch call, and that an
+// in-memory database delivers exactly the batches, in the same order, that
+// the same statements deliver — and log — with a commit log attached.
+func TestStatementFeedOneBatchPerCommit(t *testing.T) {
+	stmts := []string{
+		"INSERT INTO kv VALUES (3, 30), (4, 40), (5, 50)",
+		"DELETE FROM kv WHERE v >= 20",
+	}
+	run := func(clog CommitLog) *feedRecorder {
+		db := newBatchDB(t)
+		if clog != nil {
+			db.SetCommitLog(clog)
+		}
+		rec := &feedRecorder{}
+		db.AddListener(rec)
+		for _, q := range stmts {
+			before := len(rec.batches)
+			mustExec(db, q)
+			if got := len(rec.batches) - before; got != 1 {
+				t.Fatalf("%q reached the listener in %d calls, want 1", q, got)
+			}
+		}
+		return rec
+	}
+	mem := run(nil)
+	clog := &recordingLog{}
+	logged := run(clog)
+	if !reflect.DeepEqual(mem.batches, logged.batches) {
+		t.Fatalf("in-memory feed %v differs from logged feed %v", mem.batches, logged.batches)
+	}
+	if !reflect.DeepEqual(clog.batches, logged.batches) {
+		t.Fatalf("commit log holds %v, listener received %v", clog.batches, logged.batches)
+	}
+	kinds := func(b []storage.TableChange) (out []string) {
+		for _, tc := range b {
+			out = append(out, fmt.Sprintf("%s:%s:%d", tc.Table, tc.Change.Kind, tc.Change.Row))
+		}
+		return out
+	}
+	want := [][]string{
+		{"kv:insert:2", "kv:insert:3", "kv:insert:4"},
+		{"kv:delete:1", "kv:delete:2", "kv:delete:3", "kv:delete:4"},
+	}
+	for i, b := range mem.batches {
+		if got := kinds(b); !slices.Equal(got, want[i]) {
+			t.Fatalf("batch %d = %v, want %v", i, got, want[i])
+		}
+	}
+}
+
+// TestEmptyCommitDeliversNoFeed: a statement that changes no row and a
+// batch whose changes all cancel reach neither the listener nor the log.
+func TestEmptyCommitDeliversNoFeed(t *testing.T) {
+	db := newBatchDB(t)
+	clog := &recordingLog{}
+	db.SetCommitLog(clog)
+	rec := &feedRecorder{}
+	db.AddListener(rec)
+	mustExec(db, "DELETE FROM kv WHERE k = 99")
+	if _, err := db.ExecBatch([]string{
+		"INSERT INTO kv VALUES (5, 50)",
+		"DELETE FROM kv WHERE k = 5",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.batches) != 0 || len(clog.batches) != 0 {
+		t.Fatalf("empty commits delivered %v and logged %v", rec.batches, clog.batches)
 	}
 }
 

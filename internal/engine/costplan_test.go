@@ -95,13 +95,13 @@ func TestCostPlanSmallestFirstOrder(t *testing.T) {
 	assertSameRows(t, db, threeTableQuery)
 }
 
-// assertSameRows checks RunPlan (cost-planned) against RunPlanRaw (no
-// planning) as multisets of rendered rows — exact column order included,
-// which pins the permutation-restoring projection.
+// assertSameRows checks RunPlan (cost-planned) against Snapshot.RunPlanRaw
+// (no planning) as multisets of rendered rows — exact column order
+// included, which pins the permutation-restoring projection.
 func assertSameRows(t *testing.T, db *DB, sql string) {
 	t.Helper()
 	plan := plannedQuery(t, db, sql)
-	raw, err := db.RunPlanRaw(plan)
+	raw, err := db.Snapshot().RunPlanRaw(plan)
 	if err != nil {
 		t.Fatalf("%q raw: %v", sql, err)
 	}

@@ -36,9 +36,9 @@ func (db *DB) SetCommitLog(l CommitLog) {
 	db.clog = l
 }
 
-// AdoptTable registers a checkpoint-restored table and subscribes it to
-// the change feed. Recovery-only: the caller guarantees no listener or
-// commit log is attached yet, so adoption is silent.
+// AdoptTable registers a checkpoint-restored table. Recovery-only: the
+// caller guarantees no listener or commit log is attached yet, so adoption
+// is silent.
 func (db *DB) AdoptTable(t *storage.Table) error {
 	db.wseq.Lock()
 	defer db.wseq.Unlock()
@@ -48,7 +48,6 @@ func (db *DB) AdoptTable(t *storage.Table) error {
 	if _, ok := db.tables[key]; ok {
 		return fmt.Errorf("engine: table %q already exists", t.Name())
 	}
-	t.Observe(func(ch storage.Change) { db.notifyData(key, ch) })
 	db.tables[key] = t
 	return nil
 }
@@ -81,22 +80,19 @@ func typeName(k value.Kind) string {
 }
 
 // execLogged runs one DML statement in capture mode, durably logs the
-// captured changes as a single atomic record, and only then delivers them
-// to listeners. Partial effects of a failing statement are logged and
-// delivered too — mirroring exactly what the in-memory tables now hold —
-// but if the log itself fails, the statement's effects are rolled back and
-// the write reports the durability error. The caller holds the write
-// sequencer; execLogged releases it.
+// captured changes as a single atomic record (when a log is attached), and
+// only then delivers them to listeners as one batch. Every INSERT and
+// DELETE commits here, in-memory or durable. Partial effects of a failing
+// statement are logged and delivered too — mirroring exactly what the
+// in-memory tables now hold — but if the log itself fails, the statement's
+// effects are rolled back and the write reports the durability error. The
+// statement and its commit run under one hold of the write sequencer.
 func (db *DB) execLogged(run func(feed *[]storage.TableChange) (int, error)) (int, error) {
+	db.wseq.Lock()
+	defer db.wseq.Unlock()
 	var feed []storage.TableChange
 	n, runErr := run(&feed)
-	if len(feed) == 0 {
-		db.wseq.Unlock()
-		return n, runErr
-	}
-	err := db.commitLogged(feed, feed)
-	db.wseq.Unlock()
-	if err != nil {
+	if err := db.commitLogged(feed, feed); err != nil {
 		// Surface both failures: the durability error (nothing committed)
 		// and, when the statement itself also failed, its own error.
 		return 0, errors.Join(err, runErr)
@@ -104,14 +100,19 @@ func (db *DB) execLogged(run func(feed *[]storage.TableChange) (int, error)) (in
 	return n, runErr
 }
 
-// commitLogged is the shared commit point of every logged write path:
+// commitLogged is the shared commit point of every DML write path:
 // durably append the coalesced changes (when a log is attached), then —
-// and only then — deliver them to listeners. On append failure the raw
-// feed is rolled back (inserted rows re-tombstoned, deleted rows
+// and only then — deliver them to listeners. A commit that leaves no
+// change (a statement that matched no row, or a batch whose every insert
+// it also deleted) is neither logged nor delivered. On append failure the
+// raw feed is rolled back (inserted rows re-tombstoned, deleted rows
 // resurrected) so the in-memory state matches the log: the commit never
 // happened anywhere. The caller holds the write sequencer.
 func (db *DB) commitLogged(feed, coalesced []storage.TableChange) error {
-	if db.clog != nil && len(coalesced) > 0 {
+	if len(coalesced) == 0 {
+		return nil
+	}
+	if db.clog != nil {
 		if err := db.clog.AppendBatch(coalesced); err != nil {
 			if rbErr := db.rollbackFrozen(feed); rbErr != nil {
 				db.notifySchema("commit log rollback failure")

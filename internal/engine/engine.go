@@ -20,32 +20,19 @@ import (
 	"hippo/internal/value"
 )
 
-// ChangeListener receives the database's change feed: one DataChanged call
-// per DML delta (insert or delete of a single row), and one SchemaChanged
-// call per DDL statement. Listeners maintain derived state — the Hippo
-// core subscribes to keep the conflict hypergraph current without
-// rescanning tables.
+// ChangeListener receives the database's change feed: one DataBatch call
+// per committed DML statement or batch, and one SchemaChanged call per DDL
+// statement. Listeners maintain derived state — the Hippo core subscribes
+// to keep the conflict hypergraph current without rescanning tables.
 type ChangeListener interface {
-	// DataChanged reports a single-row delta on the named table, in
-	// mutation order. The table's writer-sequencing lock is held during
-	// delivery: the listener may read the table but must not insert into
-	// or delete from it.
-	DataChanged(table string, ch storage.Change)
+	// DataBatch reports the row deltas one commit made, in mutation order
+	// (a batch's feed is coalesced first). The write sequencer is held
+	// during delivery: the listener may read tables but must not write
+	// to them.
+	DataBatch(changes []storage.TableChange)
 	// SchemaChanged reports a structural change (CREATE/DROP TABLE) that
 	// invalidates any table-shape-dependent derived state.
 	SchemaChanged(reason string)
-}
-
-// BatchListener is an optional extension of ChangeListener. A listener
-// that also implements it receives each committed batch's coalesced change
-// feed as one DataBatch call instead of per-row DataChanged calls, so it
-// can queue the whole batch at once. Single-statement writes still arrive
-// via DataChanged. The same delivery guarantees apply: the write sequencer
-// is held, changes are in mutation order, and the listener may read but
-// not write.
-type BatchListener interface {
-	ChangeListener
-	DataBatch(changes []storage.TableChange)
 }
 
 // DB is an in-memory SQL database: a catalog of tables plus a planner and
@@ -89,7 +76,7 @@ func (db *DB) AddListener(l ChangeListener) {
 func (db *DB) RemoveListener(l ChangeListener) {
 	db.lmu.Lock()
 	defer db.lmu.Unlock()
-	// Copy-on-write: notifyData iterates a snapshot of this slice outside
+	// Copy-on-write: notifyBatch iterates a snapshot of this slice outside
 	// the lock, so never mutate it in place.
 	out := make([]ChangeListener, 0, len(db.listeners))
 	for _, x := range db.listeners {
@@ -100,30 +87,13 @@ func (db *DB) RemoveListener(l ChangeListener) {
 	db.listeners = out
 }
 
-func (db *DB) notifyData(table string, ch storage.Change) {
-	db.lmu.RLock()
-	ls := db.listeners
-	db.lmu.RUnlock()
-	for _, l := range ls {
-		l.DataChanged(table, ch)
-	}
-}
-
-// notifyBatch delivers a committed batch's coalesced change feed:
-// listeners implementing BatchListener get the whole batch in one call,
-// the rest get the per-change feed in mutation order.
+// notifyBatch delivers one commit's change feed to every listener.
 func (db *DB) notifyBatch(changes []storage.TableChange) {
 	db.lmu.RLock()
 	ls := db.listeners
 	db.lmu.RUnlock()
 	for _, l := range ls {
-		if bl, ok := l.(BatchListener); ok {
-			bl.DataBatch(changes)
-			continue
-		}
-		for _, tc := range changes {
-			l.DataChanged(tc.Table, tc.Change)
-		}
+		l.DataBatch(changes)
 	}
 }
 
@@ -190,7 +160,6 @@ func (db *DB) CreateTable(name string, s schema.Schema) (*storage.Table, error) 
 		return nil, fmt.Errorf("engine: table %q already exists", name)
 	}
 	t := storage.NewTable(key, s)
-	t.Observe(func(ch storage.Change) { db.notifyData(key, ch) })
 	// Durable before visible: the DDL record must be on disk before any
 	// reader can resolve the table — otherwise a crash (or append failure)
 	// would retract a table queries already observed. The existence check
@@ -313,10 +282,14 @@ func (db *DB) ExecStmtContext(ctx context.Context, st sqlparse.Statement) (*Resu
 		db.notifySchema("drop table " + key)
 		return nil, 0, nil
 	case *sqlparse.Insert:
-		n, err := db.execInsert(ctx, s)
+		n, err := db.execLogged(func(feed *[]storage.TableChange) (int, error) {
+			return db.execInsertFrozen(ctx, s, feed)
+		})
 		return nil, n, err
 	case *sqlparse.Delete:
-		n, err := db.execDelete(ctx, s)
+		n, err := db.execLogged(func(feed *[]storage.TableChange) (int, error) {
+			return db.execDeleteFrozen(ctx, s, feed)
+		})
 		return nil, n, err
 	case *sqlparse.Query:
 		res, err := db.RunQueryContext(ctx, s)
@@ -376,31 +349,9 @@ func (db *DB) RunPlanContext(ctx context.Context, plan ra.Node) (*Result, error)
 	return &Result{Schema: plan.Schema(), Rows: rows}, nil
 }
 
-// RunPlanRaw executes a plan without any optimization: the plan runs
-// exactly as given, with no pushdown, join ordering or access-path choice.
-func (db *DB) RunPlanRaw(plan ra.Node) (*Result, error) {
-	rows, err := ra.Materialize(context.Background(), plan)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: plan.Schema(), Rows: rows}, nil
-}
-
-func (db *DB) execInsert(ctx context.Context, s *sqlparse.Insert) (int, error) {
-	db.wseq.Lock()
-	if db.clog == nil {
-		defer db.wseq.Unlock()
-		return db.execInsertFrozen(ctx, s, nil)
-	}
-	return db.execLogged(func(feed *[]storage.TableChange) (int, error) {
-		return db.execInsertFrozen(ctx, s, feed)
-	})
-}
-
 // execInsertFrozen applies an INSERT while the caller holds the write
-// sequencer. With feed == nil, change events are delivered to listeners
-// immediately (statement-at-a-time mode); otherwise they are captured into
-// feed for the batch path to coalesce, deliver, or roll back. A cancelled
+// sequencer. Its changes are captured into feed for the commit path to
+// deliver or roll back (and, for a batch, coalesce). A cancelled
 // ctx stops the statement between rows; the rows already inserted stand
 // (single statements are not rolled back — batches are, by ApplyBatch).
 func (db *DB) execInsertFrozen(ctx context.Context, s *sqlparse.Insert, feed *[]storage.TableChange) (int, error) {
@@ -447,31 +398,14 @@ func (db *DB) execInsertFrozen(ctx context.Context, s *sqlparse.Insert, feed *[]
 			}
 			row[positions[i]] = v
 		}
-		if feed == nil {
-			if _, err := t.Insert(row); err != nil {
-				return inserted, err
-			}
-		} else {
-			_, ch, err := t.InsertCapture(row)
-			if err != nil {
-				return inserted, err
-			}
-			*feed = append(*feed, storage.TableChange{Table: t.Name(), Change: ch})
+		_, ch, err := t.Insert(row)
+		if err != nil {
+			return inserted, err
 		}
+		*feed = append(*feed, storage.TableChange{Table: t.Name(), Change: ch})
 		inserted++
 	}
 	return inserted, nil
-}
-
-func (db *DB) execDelete(ctx context.Context, s *sqlparse.Delete) (int, error) {
-	db.wseq.Lock()
-	if db.clog == nil {
-		defer db.wseq.Unlock()
-		return db.execDeleteFrozen(ctx, s, nil)
-	}
-	return db.execLogged(func(feed *[]storage.TableChange) (int, error) {
-		return db.execDeleteFrozen(ctx, s, feed)
-	})
 }
 
 // cancelCheckRows is how many rows a DML loop processes between context
@@ -504,17 +438,11 @@ func (db *DB) execDeleteFrozen(ctx context.Context, s *sqlparse.Delete, feed *[]
 				return i, err
 			}
 		}
-		if feed == nil {
-			if err := t.Delete(id); err != nil {
-				return i, err
-			}
-		} else {
-			ch, err := t.DeleteCapture(id)
-			if err != nil {
-				return i, err
-			}
-			*feed = append(*feed, storage.TableChange{Table: t.Name(), Change: ch})
+		ch, err := t.Delete(id)
+		if err != nil {
+			return i, err
 		}
+		*feed = append(*feed, storage.TableChange{Table: t.Name(), Change: ch})
 	}
 	return len(doomed), nil
 }
@@ -697,7 +625,7 @@ func (db *DB) rollbackFrozen(feed []storage.TableChange) error {
 			continue
 		}
 		if tc.Change.Kind == storage.ChangeInsert {
-			_, err = t.DeleteCapture(tc.Change.Row)
+			_, err = t.Delete(tc.Change.Row)
 		} else {
 			err = t.Resurrect(tc.Change.Row)
 		}

@@ -350,8 +350,10 @@ type listenerLog struct {
 	schema []string
 }
 
-func (l *listenerLog) DataChanged(table string, ch storage.Change) {
-	l.data = append(l.data, table+":"+ch.Kind.String())
+func (l *listenerLog) DataBatch(changes []storage.TableChange) {
+	for _, tc := range changes {
+		l.data = append(l.data, tc.Table+":"+tc.Change.Kind.String())
+	}
 }
 func (l *listenerLog) SchemaChanged(reason string) { l.schema = append(l.schema, reason) }
 

@@ -130,7 +130,7 @@ func TestOptimizedResultsMatchUnoptimized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := db.RunPlanRaw(plan)
+		raw, err := db.Snapshot().RunPlanRaw(plan)
 		if err != nil {
 			t.Fatalf("%q raw: %v", sql, err)
 		}

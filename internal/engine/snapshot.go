@@ -93,7 +93,8 @@ func (s *Snapshot) RunPlanContext(ctx context.Context, plan ra.Node) (*Result, e
 	return &Result{Schema: plan.Schema(), Rows: rows}, nil
 }
 
-// RunPlanRaw executes a plan without any optimization (see DB.RunPlanRaw).
+// RunPlanRaw executes a plan without any optimization: the plan runs
+// exactly as given, with no pushdown, join ordering or access-path choice.
 func (s *Snapshot) RunPlanRaw(plan ra.Node) (*Result, error) {
 	return s.RunPlanRawContext(context.Background(), plan)
 }

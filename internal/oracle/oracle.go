@@ -307,7 +307,7 @@ func (o *Oracle) cloneWithout(excl []Ref) (*engine.DB, error) {
 			if drop[Ref{Rel: name, Row: id}] {
 				return nil
 			}
-			_, ierr := nt.Insert(row)
+			_, _, ierr := nt.Insert(row)
 			return ierr
 		})
 		if err != nil {

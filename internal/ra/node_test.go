@@ -24,7 +24,7 @@ func mkTable(t *testing.T, name string, cols []string, rows ...[]int64) *storage
 		for i, v := range r {
 			tup[i] = value.Int(v)
 		}
-		if _, err := tb.Insert(tup); err != nil {
+		if _, _, err := tb.Insert(tup); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestHashMatchSkipsNullKeys(t *testing.T) {
 		tb := storage.NewTable(name, schema.New(
 			schema.Column{Name: "k", Type: value.KindInt}, schema.Column{Name: "v", Type: value.KindInt}))
 		for _, r := range rows {
-			if _, err := tb.Insert(r); err != nil {
+			if _, _, err := tb.Insert(r); err != nil {
 				t.Fatal(err)
 			}
 		}

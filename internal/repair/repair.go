@@ -256,7 +256,7 @@ func cloneWithout(src Source, del []conflict.Vertex) (*engine.DB, error) {
 			if drop[conflict.Vertex{Rel: name, Row: id}] {
 				return nil
 			}
-			_, err := nt.Insert(row)
+			_, _, err := nt.Insert(row)
 			return err
 		})
 		if err != nil {

@@ -95,18 +95,16 @@ func TestCoalesceChanges(t *testing.T) {
 }
 
 // TestCaptureAndResurrect drives the rollback primitives across a slab
-// boundary while a snapshot pins the pre-batch state: captured changes are
-// never delivered, resurrected rows come back with index entries intact,
-// and the pinned snapshot stays frozen throughout.
+// boundary while a snapshot pins the pre-batch state: the returned changes
+// describe the writes, resurrected rows come back with index entries
+// intact, and the pinned snapshot stays frozen throughout.
 func TestCaptureAndResurrect(t *testing.T) {
 	tb := NewTable("t", schema.New(
 		schema.Column{Name: "k", Type: value.KindInt},
 	))
-	var delivered []Change
-	tb.Observe(func(ch Change) { delivered = append(delivered, ch) })
 	// Fill one slab exactly, so the next insert opens a new slab.
 	for i := 0; i < SlabSize; i++ {
-		if _, err := tb.Insert(value.Tuple{value.Int(int64(i))}); err != nil {
+		if _, _, err := tb.Insert(value.Tuple{value.Int(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,14 +112,13 @@ func TestCaptureAndResurrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := tb.Snapshot()
-	preDelivered := len(delivered)
 
 	// Captured writes: delete a row in the sealed slab, insert into a new one.
-	chDel, err := tb.DeleteCapture(RowID(SlabSize - 1))
+	chDel, err := tb.Delete(RowID(SlabSize - 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, chIns, err := tb.InsertCapture(value.Tuple{value.Int(999)})
+	id, chIns, err := tb.Insert(value.Tuple{value.Int(999)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +128,9 @@ func TestCaptureAndResurrect(t *testing.T) {
 	if chDel.Kind != ChangeDelete || chIns.Kind != ChangeInsert {
 		t.Fatalf("captured kinds: %v %v", chDel.Kind, chIns.Kind)
 	}
-	if len(delivered) != preDelivered {
-		t.Fatalf("capture leaked %d observer deliveries", len(delivered)-preDelivered)
-	}
 
 	// Roll back in reverse: re-delete the insert, resurrect the delete.
-	if _, err := tb.DeleteCapture(id); err != nil {
+	if _, err := tb.Delete(id); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Resurrect(chDel.Row); err != nil {
@@ -144,9 +138,6 @@ func TestCaptureAndResurrect(t *testing.T) {
 	}
 	if err := tb.Resurrect(chDel.Row); err == nil {
 		t.Fatal("resurrecting a live row should fail")
-	}
-	if len(delivered) != preDelivered {
-		t.Fatalf("rollback leaked %d observer deliveries", len(delivered)-preDelivered)
 	}
 	if tb.Len() != SlabSize {
 		t.Fatalf("live rows after rollback: %d, want %d", tb.Len(), SlabSize)

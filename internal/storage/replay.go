@@ -10,10 +10,9 @@ import (
 // WAL-recovery entry points. RowIDs are the conflict hypergraph's vertex
 // identity, so recovery must reproduce them bit-for-bit: a checkpoint
 // restores the exact slot layout (including tombstones), and replaying a
-// logged batch re-applies each change at its original RowID. None of these
-// paths emit change-feed events — recovery runs before any listener is
-// attached, and the post-replay full conflict detection rebuilds every
-// derived structure from the restored tables.
+// logged batch re-applies each change at its original RowID. Recovery
+// runs before any listener is attached, and the post-replay full conflict
+// detection rebuilds every derived structure from the restored tables.
 
 // ReplayInsert re-applies a logged insert at its original RowID. The id
 // must be at or past the table's allocation cursor; intervening slots —
@@ -22,8 +21,6 @@ import (
 // RowIDs keep their positions. The tuple is stored as logged (it was
 // coerced before the original insert); only arity is validated.
 func (t *Table) ReplayInsert(id RowID, row value.Tuple) error {
-	t.emitMu.Lock()
-	defer t.emitMu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if int(id) < t.nrows {
@@ -46,10 +43,9 @@ func (t *Table) ReplayInsert(id RowID, row value.Tuple) error {
 	return nil
 }
 
-// ReplayDelete re-applies a logged delete without emitting a change-feed
-// event.
+// ReplayDelete re-applies a logged delete at its original RowID.
 func (t *Table) ReplayDelete(id RowID) error {
-	_, err := t.DeleteCapture(id)
+	_, err := t.Delete(id)
 	return err
 }
 

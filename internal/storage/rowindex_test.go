@@ -38,11 +38,11 @@ func checkLookupRow(t *testing.T, label string, r Relation, probe value.Tuple) {
 func TestLookupRowSnapshotBeforeBuild(t *testing.T) {
 	tb := snapTable(t, SlabSize+10)
 	old := tb.Snapshot()
-	if err := tb.Delete(3); err != nil {
+	if _, err := tb.Delete(3); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := tb.Insert(row(int64(i), fmt.Sprintf("r%d", i))); err != nil {
+		if _, _, err := tb.Insert(row(int64(i), fmt.Sprintf("r%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestLookupRowSnapshotBeforeBuild(t *testing.T) {
 		t.Fatalf("old snapshot sees a later duplicate: %v", ids)
 	}
 	// Writes after the build extend the shared index.
-	if _, err := tb.Insert(row(1, "r1")); err != nil {
+	if _, _, err := tb.Insert(row(1, "r1")); err != nil {
 		t.Fatal(err)
 	}
 	cur := tb.Snapshot()
@@ -85,21 +85,21 @@ func TestLookupRowBatchRollback(t *testing.T) {
 			before := tb.Snapshot()
 			// The batch: delete row 4, insert a duplicate of row 2 and a
 			// new row.
-			if _, err := tb.DeleteCapture(4); err != nil {
+			if _, err := tb.Delete(4); err != nil {
 				t.Fatal(err)
 			}
-			dup, _, err := tb.InsertCapture(row(2, "r2"))
+			dup, _, err := tb.Insert(row(2, "r2"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, _, err := tb.InsertCapture(row(50, "new"))
+			fresh, _, err := tb.Insert(row(50, "new"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			during := tb.Snapshot()
 			// Rollback in reverse order.
 			for _, id := range []RowID{fresh, dup} {
-				if _, err := tb.DeleteCapture(id); err != nil {
+				if _, err := tb.Delete(id); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -177,7 +177,7 @@ func TestLookupRowDuplicates(t *testing.T) {
 		if i%5 == 0 {
 			v = row(1, "dup")
 		}
-		if _, err := tb.Insert(v); err != nil {
+		if _, _, err := tb.Insert(v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestLookupRowDuplicates(t *testing.T) {
 			t.Fatalf("duplicates = %v, want %v", ids, want)
 		}
 	}
-	if err := tb.Delete(want[1]); err != nil {
+	if _, err := tb.Delete(want[1]); err != nil {
 		t.Fatal(err)
 	}
 	checkLookupRow(t, "after delete", tb.Snapshot(), probe)
@@ -214,13 +214,13 @@ func TestLookupRowLiveVisibility(t *testing.T) {
 	if ids := tb.LookupRow(row(2, "r2")); !slices.Equal(ids, []RowID{2}) {
 		t.Fatalf("live r2 = %v", ids)
 	}
-	if err := tb.Delete(2); err != nil {
+	if _, err := tb.Delete(2); err != nil {
 		t.Fatal(err)
 	}
 	if ids := tb.LookupRow(row(2, "r2")); len(ids) != 0 {
 		t.Fatalf("live table sees deleted row: %v", ids)
 	}
-	id, err := tb.Insert(row(2, "r2"))
+	id, _, err := tb.Insert(row(2, "r2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +247,13 @@ func TestLookupRowConcurrentReaders(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for i := 0; i < 2*SlabSize; i++ {
-			id, err := tb.Insert(row(int64(i%16), fmt.Sprintf("r%d", i%16)))
+			id, _, err := tb.Insert(row(int64(i%16), fmt.Sprintf("r%d", i%16)))
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			if i%3 == 0 {
-				if err := tb.Delete(id - 7); err != nil {
+				if _, err := tb.Delete(id - 7); err != nil {
 					t.Error(err)
 					return
 				}

@@ -15,7 +15,7 @@ func snapTable(t *testing.T, n int) *Table {
 		schema.Column{Name: "v", Type: value.KindText},
 	))
 	for i := 0; i < n; i++ {
-		if _, err := tb.Insert(value.Tuple{value.Int(int64(i)), value.Text(fmt.Sprintf("r%d", i))}); err != nil {
+		if _, _, err := tb.Insert(value.Tuple{value.Int(int64(i)), value.Text(fmt.Sprintf("r%d", i))}); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -34,14 +34,14 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	// Mutate the live table: delete an early row (first slab), delete a
 	// late row (tail slab), append new rows past the snapshot.
-	if err := tb.Delete(3); err != nil {
+	if _, err := tb.Delete(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Delete(RowID(n - 1)); err != nil {
+	if _, err := tb.Delete(RowID(n - 1)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < SlabSize; i++ {
-		if _, err := tb.Insert(value.Tuple{value.Int(int64(n + i)), value.Text("new")}); err != nil {
+		if _, _, err := tb.Insert(value.Tuple{value.Int(int64(n + i)), value.Text("new")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestSnapshotSharing(t *testing.T) {
 		t.Fatal("snapshot of unchanged table not shared")
 	}
 	// One delete in slab 1: only that slab should be copied.
-	if err := tb.Delete(RowID(SlabSize + 5)); err != nil {
+	if _, err := tb.Delete(RowID(SlabSize + 5)); err != nil {
 		t.Fatal(err)
 	}
 	s3 := tb.Snapshot()
@@ -104,12 +104,12 @@ func TestSnapshotSharing(t *testing.T) {
 // rows, although the index behind them is shared with the live table.
 func TestSnapshotFullRowIndex(t *testing.T) {
 	tb := snapTable(t, 20)
-	if err := tb.Delete(7); err != nil {
+	if _, err := tb.Delete(7); err != nil {
 		t.Fatal(err)
 	}
 	snap := tb.Snapshot()
 	// Mutate after snapshotting; lookups must reflect the snapshot.
-	if _, err := tb.Insert(value.Tuple{value.Int(99), value.Text("r99")}); err != nil {
+	if _, _, err := tb.Insert(value.Tuple{value.Int(99), value.Text("r99")}); err != nil {
 		t.Fatal(err)
 	}
 	ids := snap.LookupRow(value.Tuple{value.Int(5), value.Text("r5")})

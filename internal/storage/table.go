@@ -27,7 +27,7 @@ import (
 // insertion order and never reused.
 type RowID int
 
-// ChangeKind discriminates the two DML deltas a table can emit.
+// ChangeKind discriminates the two DML deltas a table write can make.
 type ChangeKind uint8
 
 const (
@@ -55,9 +55,9 @@ type Change struct {
 	Tuple value.Tuple // stored (coerced) values; must not be mutated
 }
 
-// TableChange qualifies a change-feed event with the emitting table. It is
-// the unit the engine's group-commit path buffers while a batch runs and
-// hands to CoalesceChanges before delivery.
+// TableChange qualifies a change with the table it was made on. It is the
+// unit the engine buffers while a statement or batch runs (a batch's
+// buffer goes through CoalesceChanges) and delivers on commit.
 type TableChange struct {
 	Table  string
 	Change Change
@@ -193,24 +193,19 @@ func (s *slab) clone() *slab {
 // Table is an in-memory relation instance. Concurrent readers are always
 // safe; a single writer may run concurrently with readers (reads are
 // seqcst through t.mu), and writers are serialized with each other by the
-// engine's write sequencer plus emitMu.
+// engine's write sequencer. A table emits no events: Insert and Delete
+// return the change they made, and the engine collects those changes into
+// its change feed.
 type Table struct {
-	// emitMu serializes writers with each other across the mutation AND
-	// its observer notification, so the change feed is delivered in
-	// mutation order. It is always acquired before mu and held while
-	// notifying (mu itself is released first, so observers may read the
-	// table).
-	emitMu    sync.Mutex
-	mu        sync.RWMutex
-	name      string
-	schema    schema.Schema
-	slabs     []*slab
-	nrows     int // total row slots ever allocated (RowIDs range [0, nrows))
-	live      int
-	version   uint64 // bumped on every mutation; snapshots are cached per version
-	snap      *TableSnapshot
-	indexes   map[string]*Index
-	observers []func(Change)
+	mu      sync.RWMutex
+	name    string
+	schema  schema.Schema
+	slabs   []*slab
+	nrows   int // total row slots ever allocated (RowIDs range [0, nrows))
+	live    int
+	version uint64 // bumped on every mutation; snapshots are cached per version
+	snap    *TableSnapshot
+	indexes map[string]*Index
 	// rowIdx is the full-row hash index, built by the first LookupRow
 	// (on the table or any snapshot of it) and extended by every insert
 	// after that. Snapshots share it; see rowindex.go.
@@ -256,25 +251,6 @@ func (t *Table) Version() uint64 {
 	return t.version
 }
 
-// Observe registers fn to be called after every successful Insert or
-// Delete. Delivery happens outside the data lock (observers may read the
-// table) but inside the writer-sequencing lock, so observers must not
-// write to this table. The engine's DML-delta pipeline — and through it
-// the incremental conflict detector — subscribes here.
-func (t *Table) Observe(fn func(Change)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.observers = append(t.observers, fn)
-}
-
-// notify invokes the observers registered at change time. It must be
-// called without holding t.mu.
-func (t *Table) notify(obs []func(Change), ch Change) {
-	for _, fn := range obs {
-		fn(ch)
-	}
-}
-
 // writableSlab returns the slab holding slot si, cloning it first if it is
 // sealed by a snapshot. Caller holds t.mu.
 func (t *Table) writableSlab(si int) *slab {
@@ -287,102 +263,44 @@ func (t *Table) writableSlab(si int) *slab {
 }
 
 // Insert appends a row after validating arity and coercing values to the
-// column types. It returns the new row's RowID.
-func (t *Table) Insert(row value.Tuple) (RowID, error) {
-	t.emitMu.Lock()
-	defer t.emitMu.Unlock()
-	id, ch, obs, err := t.insert(row)
-	if err != nil {
-		return id, err
-	}
-	t.notify(obs, ch)
-	return id, nil
-}
-
-// InsertCapture is Insert with observer delivery withheld: the change-feed
-// event is returned to the caller instead. The engine's group-commit path
-// buffers captured events across a batch and delivers the coalesced set at
-// the end (or discards it on rollback); callers must hold the engine write
-// sequencer so the deferred delivery stays in mutation order.
-func (t *Table) InsertCapture(row value.Tuple) (RowID, Change, error) {
-	t.emitMu.Lock()
-	defer t.emitMu.Unlock()
-	id, ch, _, err := t.insert(row)
-	return id, ch, err
-}
-
-// insert performs the mutation. The caller holds emitMu (and keeps it
-// through notification, so the change feed stays in mutation order).
-func (t *Table) insert(row value.Tuple) (RowID, Change, []func(Change), error) {
+// column types. It returns the new row's RowID and the change it made.
+func (t *Table) Insert(row value.Tuple) (RowID, Change, error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if len(row) != t.schema.Len() {
-		t.mu.Unlock()
-		return -1, Change{}, nil, fmt.Errorf("storage: table %s expects %d values, got %d",
+		return -1, Change{}, fmt.Errorf("storage: table %s expects %d values, got %d",
 			t.name, t.schema.Len(), len(row))
 	}
 	stored := make(value.Tuple, len(row))
 	for i, v := range row {
 		cv, err := value.Coerce(v, t.schema.Columns[i].Type)
 		if err != nil {
-			t.mu.Unlock()
-			return -1, Change{}, nil, fmt.Errorf("storage: table %s column %s: %v",
+			return -1, Change{}, fmt.Errorf("storage: table %s column %s: %v",
 				t.name, t.schema.Columns[i].Name, err)
 		}
 		stored[i] = cv
 	}
 	id := RowID(t.nrows)
-	si := t.nrows >> slabShift
-	if si == len(t.slabs) {
-		t.slabs = append(t.slabs, newSlab())
-	}
-	s := t.writableSlab(si)
-	s.rows = append(s.rows, stored)
-	s.dead = append(s.dead, false)
-	t.nrows++
-	t.live++
+	t.appendSlotLocked(stored, false)
 	t.version++
 	for _, idx := range t.indexes {
 		idx.add(stored, id)
 	}
 	t.indexRowLocked(stored, id)
-	obs := t.observers
-	t.mu.Unlock()
-	return id, Change{Kind: ChangeInsert, Row: id, Tuple: stored}, obs, nil
+	return id, Change{Kind: ChangeInsert, Row: id, Tuple: stored}, nil
 }
 
-// Delete tombstones a row. Deleting an already-dead or out-of-range row is
-// an error.
-func (t *Table) Delete(id RowID) error {
-	t.emitMu.Lock()
-	defer t.emitMu.Unlock()
-	ch, obs, err := t.delete(id)
-	if err != nil {
-		return err
-	}
-	t.notify(obs, ch)
-	return nil
-}
-
-// DeleteCapture is Delete with observer delivery withheld; see
-// InsertCapture.
-func (t *Table) DeleteCapture(id RowID) (Change, error) {
-	t.emitMu.Lock()
-	defer t.emitMu.Unlock()
-	ch, _, err := t.delete(id)
-	return ch, err
-}
-
-// delete performs the mutation; the caller holds emitMu (see insert).
-func (t *Table) delete(id RowID) (Change, []func(Change), error) {
+// Delete tombstones a row and returns the change it made. Deleting an
+// already-dead or out-of-range row is an error.
+func (t *Table) Delete(id RowID) (Change, error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if int(id) < 0 || int(id) >= t.nrows {
-		t.mu.Unlock()
-		return Change{}, nil, fmt.Errorf("storage: table %s has no row %d", t.name, id)
+		return Change{}, fmt.Errorf("storage: table %s has no row %d", t.name, id)
 	}
 	si, off := int(id)>>slabShift, int(id)&slabMask
 	if t.slabs[si].dead[off] {
-		t.mu.Unlock()
-		return Change{}, nil, fmt.Errorf("storage: table %s row %d already deleted", t.name, id)
+		return Change{}, fmt.Errorf("storage: table %s row %d already deleted", t.name, id)
 	}
 	s := t.writableSlab(si)
 	s.dead[off] = true
@@ -392,18 +310,14 @@ func (t *Table) delete(id RowID) (Change, []func(Change), error) {
 	for _, idx := range t.indexes {
 		idx.remove(gone, id)
 	}
-	obs := t.observers
-	t.mu.Unlock()
-	return Change{Kind: ChangeDelete, Row: id, Tuple: gone}, obs, nil
+	return Change{Kind: ChangeDelete, Row: id, Tuple: gone}, nil
 }
 
 // Resurrect clears the tombstone of a deleted row, restoring it under its
-// original RowID with its index entries. No change-feed event is emitted:
-// the engine's batch rollback uses it to undo a captured (never delivered)
-// delete, so to every observer the row was simply never touched.
+// original RowID with its index entries. The engine's rollback uses it to
+// undo a captured (never delivered) delete, so to every listener the row
+// was simply never touched.
 func (t *Table) Resurrect(id RowID) error {
-	t.emitMu.Lock()
-	defer t.emitMu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if int(id) < 0 || int(id) >= t.nrows {

@@ -21,7 +21,7 @@ func empTable(t *testing.T) *Table {
 
 func TestInsertAndRow(t *testing.T) {
 	tb := empTable(t)
-	id, err := tb.Insert(value.Tuple{value.Int(1), value.Text("ann"), value.Int(100)})
+	id, _, err := tb.Insert(value.Tuple{value.Int(1), value.Text("ann"), value.Int(100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,19 +49,19 @@ func TestInsertAndRow(t *testing.T) {
 
 func TestInsertErrors(t *testing.T) {
 	tb := empTable(t)
-	if _, err := tb.Insert(value.Tuple{value.Int(1)}); err == nil {
+	if _, _, err := tb.Insert(value.Tuple{value.Int(1)}); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	if _, err := tb.Insert(value.Tuple{value.Text("x"), value.Text("y"), value.Float(1)}); err == nil {
+	if _, _, err := tb.Insert(value.Tuple{value.Text("x"), value.Text("y"), value.Float(1)}); err == nil {
 		t.Error("type mismatch should fail")
 	}
 }
 
 func TestDeleteTombstones(t *testing.T) {
 	tb := empTable(t)
-	id0, _ := tb.Insert(value.Tuple{value.Int(1), value.Text("a"), value.Float(1)})
-	id1, _ := tb.Insert(value.Tuple{value.Int(2), value.Text("b"), value.Float(2)})
-	if err := tb.Delete(id0); err != nil {
+	id0, _, _ := tb.Insert(value.Tuple{value.Int(1), value.Text("a"), value.Float(1)})
+	id1, _, _ := tb.Insert(value.Tuple{value.Int(2), value.Text("b"), value.Float(2)})
+	if _, err := tb.Delete(id0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := tb.Row(id0); ok {
@@ -73,10 +73,10 @@ func TestDeleteTombstones(t *testing.T) {
 	if tb.Len() != 1 || tb.Cap() != 2 {
 		t.Errorf("Len/Cap = %d/%d after delete", tb.Len(), tb.Cap())
 	}
-	if err := tb.Delete(id0); err == nil {
+	if _, err := tb.Delete(id0); err == nil {
 		t.Error("double delete should fail")
 	}
-	if err := tb.Delete(99); err == nil {
+	if _, err := tb.Delete(99); err == nil {
 		t.Error("out-of-range delete should fail")
 	}
 }
@@ -136,7 +136,7 @@ func TestIndexLookup(t *testing.T) {
 	}
 
 	// Index maintained on insert and delete.
-	id3, _ := tb.Insert(value.Tuple{value.Int(1), value.Text("dee"), value.Float(40)})
+	id3, _, _ := tb.Insert(value.Tuple{value.Int(1), value.Text("dee"), value.Float(40)})
 	if len(idx.Lookup(value.Tuple{value.Int(1)})) != 3 {
 		t.Error("index not maintained on insert")
 	}
@@ -197,7 +197,7 @@ func TestIndexAgreesWithScanProperty(t *testing.T) {
 		}
 		tb := NewTable("t", schema.New(schema.Column{Name: "k", Type: value.KindInt}))
 		for _, k := range keys {
-			if _, err := tb.Insert(value.Tuple{value.Int(k % 10)}); err != nil {
+			if _, _, err := tb.Insert(value.Tuple{value.Int(k % 10)}); err != nil {
 				return false
 			}
 		}
