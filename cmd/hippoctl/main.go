@@ -254,8 +254,7 @@ func execute(db *hippo.DB, out io.Writer, line string) bool {
 		fmt.Fprintf(out, "verdict-cache: entries=%d hits=%d misses=%d stores=%d invalidated=%d evicted=%d resets=%d\n",
 			c.Entries, c.Hits, c.Misses, c.Stores, c.Invalidated, c.Evicted, c.Resets)
 		tc := db.TierCounts()
-		fmt.Fprintf(out, "tiers: rewrite=%d prover=%d fallbacks=%d (constraint-epoch=%d)\n",
-			tc.Rewrite, tc.Prover, tc.Fallbacks, sys.ConstraintEpoch())
+		fmt.Fprintf(out, "tiers: rewrite=%d prover=%d\n", tc.Rewrite, tc.Prover)
 	case "checkpoint":
 		t0 := time.Now()
 		if err := db.Checkpoint(); err != nil {

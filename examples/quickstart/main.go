@@ -59,7 +59,7 @@ func main() {
 	fmt.Printf("\nconsistent answers (%d rows — true in every repair):\n", len(res.Rows))
 	printRows(res.Rows)
 	if stats.Strategy == "rewrite" {
-		fmt.Printf("\ntier: %s — answered by the compiled first-order rewriting, %d candidates certified\n",
+		fmt.Printf("\ntier: %s — answered by the query plan under conflict filters, %d candidates certified\n",
 			stats.Strategy, stats.Candidates)
 	} else {
 		fmt.Printf("\ntier: %s — %d candidates from the envelope, %d certified by the prover\n",

@@ -11,9 +11,9 @@
 // violations once, evaluates a cheap envelope query for candidates, and
 // certifies each candidate with a polynomial-time prover over the
 // hypergraph. A tiered planner classifies each query first: when the
-// query/constraint combination is provably rewritable, the answer comes
-// straight from a compiled first-order rewriting with zero certification,
-// and everything else falls back to the certification pipeline (see
+// query/constraint combination is provably rewritable, the query's own
+// plan answers it under conflict filters with zero certification, and
+// everything else goes through the certification pipeline (see
 // WithProverTier / WithRequireRewriteTier to pin a tier).
 //
 // Quickstart:
@@ -324,10 +324,8 @@ func WithProverTier() Option {
 }
 
 // WithRequireRewriteTier fails the query with core.ErrRewriteIneligible
-// unless the compiled first-order rewrite tier serves it — no silent
-// fallback, neither when the classifier routes the query to the prover
-// nor when the compiled plan fails at run time. Use it to assert a hot
-// query stays on the fast path.
+// when the classifier routes it to the prover instead of the rewrite
+// tier. Use it to assert a hot query stays on the fast path.
 func WithRequireRewriteTier() Option {
 	return func(o *core.Options) { o.Tier = core.TierRequireRewrite }
 }
@@ -336,12 +334,12 @@ func WithRequireRewriteTier() Option {
 type TierCounters = core.TierCounters
 
 // TierCounts reports how many consistent queries each tier has answered
-// over this database's lifetime, plus rewrite-tier run-time fallbacks.
+// over this database's lifetime.
 func (db *DB) TierCounts() TierCounters { return db.sys.TierCounts() }
 
 // ErrRewriteIneligible re-exports the sentinel WithRequireRewriteTier
 // fails with when the classifier routes the query away from the rewrite
-// tier or the compiled plan fails at run time.
+// tier.
 var ErrRewriteIneligible = core.ErrRewriteIneligible
 
 // ConsistentQuery computes the consistent answers to an SJUD query: the
@@ -492,13 +490,14 @@ type AggRange = aggregate.Range
 // aggregation (paper reference [3]): the tightest interval containing the
 // aggregate's value over every repair. It requires exactly one registered
 // FD constraint on the queried relation; where optionally filters rows
-// (e.g. "salary > 100", or "" for none).
+// (e.g. "salary > 100", or "" for none). It reads one committed cut of the
+// database: a write in flight counts whole or not at all.
 func (db *DB) ConsistentAggregate(rel string, fn AggFunc, attr, where string) (AggRange, error) {
 	q, err := db.aggQuery(rel, fn, attr, where)
 	if err != nil {
 		return AggRange{}, err
 	}
-	return aggregate.Consistent(db.sys.DB(), q)
+	return aggregate.Consistent(db.Engine().Snapshot(), q)
 }
 
 // aggQuery builds a range-aggregation query over rel under its single
@@ -526,11 +525,12 @@ type AggGroup = aggregate.GroupResult
 
 // ConsistentGroupedAggregate computes one range-consistent aggregate per
 // distinct value of the grouping columns (GROUP BY semantics), under the
-// single registered FD on rel. Results are sorted by group key.
+// single registered FD on rel, over one committed cut like
+// ConsistentAggregate. Results are sorted by group key.
 func (db *DB) ConsistentGroupedAggregate(rel string, fn AggFunc, attr, where string, groupBy ...string) ([]AggGroup, error) {
 	q, err := db.aggQuery(rel, fn, attr, where)
 	if err != nil {
 		return nil, err
 	}
-	return aggregate.ConsistentGrouped(db.sys.DB(), aggregate.GroupedQuery{Query: q, GroupBy: groupBy})
+	return aggregate.ConsistentGrouped(db.Engine().Snapshot(), aggregate.GroupedQuery{Query: q, GroupBy: groupBy})
 }

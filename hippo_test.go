@@ -1,10 +1,14 @@
 package hippo
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"hippo/internal/storage"
 	"hippo/internal/value"
 )
 
@@ -251,6 +255,77 @@ func TestConsistentAggregatePublicAPI(t *testing.T) {
 	db2.AddFD("x", []string{"b"}, []string{"a"})
 	if _, err := db2.ConsistentAggregate("x", AggMin, "a", ""); err == nil {
 		t.Error("multiple FDs should error")
+	}
+}
+
+// stalledLog is a commit log whose appends wait for release and then
+// fail, so the statement in flight rolls back.
+type stalledLog struct{ entered, release chan struct{} }
+
+func (l *stalledLog) AppendBatch([]storage.TableChange) error {
+	close(l.entered)
+	<-l.release
+	return errors.New("append refused")
+}
+
+func (l *stalledLog) AppendDDL(string) error { return nil }
+
+// TestConsistentAggregateReadsCommittedCut: aggregates must read a
+// committed cut. While an INSERT waits in its commit-log append, its rows
+// are in the live tables but not committed; the append then fails and the
+// insert rolls back, so no aggregate may count them.
+func TestConsistentAggregateReadsCommittedCut(t *testing.T) {
+	db := Open()
+	mustExec(db, "CREATE TABLE emp (id INT, salary INT)")
+	mustExec(db, "INSERT INTO emp VALUES (1, 1000)")
+	db.AddFD("emp", []string{"id"}, []string{"salary"})
+	log := &stalledLog{entered: make(chan struct{}), release: make(chan struct{})}
+	db.Engine().SetCommitLog(log)
+	defer db.Engine().SetCommitLog(nil)
+	insErr := make(chan error, 1)
+	go func() {
+		_, _, err := db.Exec("INSERT INTO emp VALUES (2, 1000), (3, 1000)")
+		insErr <- err
+	}()
+	<-log.entered
+
+	got := make(chan string, 2)
+	go func() {
+		r, err := db.ConsistentAggregate("emp", AggCount, "", "")
+		got <- fmt.Sprintf("[%v, %v] %v", r.Lower, r.Upper, err)
+	}()
+	go func() {
+		gs, err := db.ConsistentGroupedAggregate("emp", AggCount, "", "", "salary")
+		if err != nil || len(gs) != 1 {
+			got <- fmt.Sprintf("groups %v %v", gs, err)
+			return
+		}
+		got <- fmt.Sprintf("[%v, %v] %v", gs[0].Range.Lower, gs[0].Range.Upper, err)
+	}()
+	const want = "[1, 1] <nil>"
+	check := func(g string) {
+		if g != want {
+			t.Errorf("COUNT over emp = %s, want %s: the aggregate read an uncommitted insert", g, want)
+		}
+	}
+	// An aggregate reading the live tables answers while the append is
+	// stalled; one reading a committed cut waits for the commit to end.
+	read := 0
+	for stalled := time.After(100 * time.Millisecond); read < 2; read++ {
+		select {
+		case g := <-got:
+			check(g)
+			continue
+		case <-stalled:
+		}
+		break
+	}
+	close(log.release)
+	if err := <-insErr; err == nil {
+		t.Fatal("INSERT committed although its append failed")
+	}
+	for ; read < 2; read++ {
+		check(<-got)
 	}
 }
 

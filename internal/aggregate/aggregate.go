@@ -95,9 +95,10 @@ type Query struct {
 	FD constraint.FD
 }
 
-// Consistent computes the range-consistent answer to q over db.
-func Consistent(db *engine.DB, q Query) (Range, error) {
-	r, err := resolve(db, q)
+// Consistent computes the range-consistent answer to q over the committed
+// cut snap.
+func Consistent(snap *engine.Snapshot, q Query) (Range, error) {
+	r, err := resolve(snap, q)
 	if err != nil {
 		return Range{}, err
 	}
@@ -109,19 +110,19 @@ func Consistent(db *engine.DB, q Query) (Range, error) {
 // planned filter.
 type resolved struct {
 	fn       Func
-	t        *storage.Table
+	t        *storage.TableSnapshot
 	lhs, rhs []int
 	attrIdx  int
 	pred     ra.Expr
 }
 
-// resolve validates q against db and binds it to its table. Consistent
+// resolve validates q against snap and binds it to its table. Consistent
 // and ConsistentGrouped share it, so both reject the same queries.
-func resolve(db *engine.DB, q Query) (*resolved, error) {
+func resolve(snap *engine.Snapshot, q Query) (*resolved, error) {
 	if !strings.EqualFold(q.FD.Rel, q.Rel) {
 		return nil, fmt.Errorf("aggregate: FD is on %q, query on %q", q.FD.Rel, q.Rel)
 	}
-	t, err := db.Table(q.Rel)
+	t, err := snap.Table(q.Rel)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +195,7 @@ type group struct {
 // count 0 — they are legal repair choices that contribute nothing. A
 // tuple that conflicts with nothing because of a NULL (see the package
 // comment) is a group of its own.
-func partition(t *storage.Table, lhs, rhs []int, attrIdx int, pred ra.Expr) ([]group, error) {
+func partition(t *storage.TableSnapshot, lhs, rhs []int, attrIdx int, pred ra.Expr) ([]group, error) {
 	groupIdx := map[string]int{}
 	partIdx := map[string]int{}
 	var groups []group
@@ -435,7 +436,7 @@ func parseWhere(rel, where string) (sqlparse.Expr, error) {
 }
 
 // scanQualifying calls fn for every live row passing pred.
-func scanQualifying(t *storage.Table, pred ra.Expr, fn func(row value.Tuple)) error {
+func scanQualifying(t *storage.TableSnapshot, pred ra.Expr, fn func(row value.Tuple)) error {
 	return t.Scan(func(_ storage.RowID, row value.Tuple) error {
 		if pred != nil {
 			ok, err := ra.EvalPredicate(pred, row)

@@ -29,7 +29,7 @@ func newDB(t *testing.T, rows string) *engine.DB {
 
 func run(t *testing.T, db *engine.DB, fn Func, attr, where string) Range {
 	t.Helper()
-	r, err := Consistent(db, Query{Rel: "r", Fn: fn, Attr: attr, Where: where, FD: fd()})
+	r, err := Consistent(db.Snapshot(), Query{Rel: "r", Fn: fn, Attr: attr, Where: where, FD: fd()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,12 @@ func TestNullFDColumnsConflictWithNothing(t *testing.T) {
 func TestNullInCompositeRHSErrors(t *testing.T) {
 	db := newDB(t, "(1,NULL,5), (1,2,7)")
 	composite := constraint.FD{Rel: "r", LHS: []string{"k"}, RHS: []string{"v", "w"}}
-	if _, err := Consistent(db, Query{Rel: "r", Fn: Count, FD: composite}); err == nil {
+	if _, err := Consistent(db.Snapshot(), Query{Rel: "r", Fn: Count, FD: composite}); err == nil {
 		t.Error("NULL in a multi-column right-hand side should fail")
 	}
 	// A NULL left-hand side still makes the tuple conflict-free.
 	db = newDB(t, "(NULL,NULL,5), (1,2,7)")
-	r, err := Consistent(db, Query{Rel: "r", Fn: Count, FD: composite})
+	r, err := Consistent(db.Snapshot(), Query{Rel: "r", Fn: Count, FD: composite})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,21 +154,21 @@ func TestNullInCompositeRHSErrors(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	db := newDB(t, "(1,1,1)")
-	if _, err := Consistent(db, Query{Rel: "zzz", Fn: Count, FD: constraint.FD{Rel: "zzz", LHS: []string{"k"}, RHS: []string{"v"}}}); err == nil {
+	if _, err := Consistent(db.Snapshot(), Query{Rel: "zzz", Fn: Count, FD: constraint.FD{Rel: "zzz", LHS: []string{"k"}, RHS: []string{"v"}}}); err == nil {
 		t.Error("unknown relation should fail")
 	}
-	if _, err := Consistent(db, Query{Rel: "r", Fn: Count, FD: constraint.FD{Rel: "other", LHS: []string{"k"}, RHS: []string{"v"}}}); err == nil {
+	if _, err := Consistent(db.Snapshot(), Query{Rel: "r", Fn: Count, FD: constraint.FD{Rel: "other", LHS: []string{"k"}, RHS: []string{"v"}}}); err == nil {
 		t.Error("FD on different relation should fail")
 	}
-	if _, err := Consistent(db, Query{Rel: "r", Fn: Min, Attr: "zzz", FD: fd()}); err == nil {
+	if _, err := Consistent(db.Snapshot(), Query{Rel: "r", Fn: Min, Attr: "zzz", FD: fd()}); err == nil {
 		t.Error("unknown attribute should fail")
 	}
 	mustExec(db, "CREATE TABLE s (k INT, v INT, name TEXT)")
-	if _, err := Consistent(db, Query{Rel: "s", Fn: Min, Attr: "name",
+	if _, err := Consistent(db.Snapshot(), Query{Rel: "s", Fn: Min, Attr: "name",
 		FD: constraint.FD{Rel: "s", LHS: []string{"k"}, RHS: []string{"v"}}}); err == nil {
 		t.Error("non-numeric attribute should fail")
 	}
-	if _, err := Consistent(db, Query{Rel: "r", Fn: Count, Where: "???", FD: fd()}); err == nil {
+	if _, err := Consistent(db.Snapshot(), Query{Rel: "r", Fn: Count, Where: "???", FD: fd()}); err == nil {
 		t.Error("bad WHERE should fail")
 	}
 	if Count.String() != "COUNT" || Sum.String() != "SUM" || Min.String() != "MIN" || Max.String() != "MAX" {
@@ -287,7 +287,7 @@ func TestRandomizedAgainstOracle(t *testing.T) {
 		}
 		for _, fn := range []Func{Count, Sum, Min, Max} {
 			for _, where := range wheres {
-				got, err := Consistent(db, Query{Rel: "r", Fn: fn, Attr: "w", Where: where, FD: fd()})
+				got, err := Consistent(db.Snapshot(), Query{Rel: "r", Fn: fn, Attr: "w", Where: where, FD: fd()})
 				if err != nil {
 					t.Fatalf("trial %d %s where=%q: %v", trial, fn, where, err)
 				}

@@ -32,11 +32,11 @@ type GroupResult struct {
 // different groups may interact through shared FD clusters, but each
 // group's own bound is individually tight: extremizing one group fixes
 // only the partition choices of clusters that touch it.
-func ConsistentGrouped(db *engine.DB, q GroupedQuery) ([]GroupResult, error) {
+func ConsistentGrouped(snap *engine.Snapshot, q GroupedQuery) ([]GroupResult, error) {
 	if len(q.GroupBy) == 0 {
 		return nil, fmt.Errorf("aggregate: ConsistentGrouped requires grouping columns")
 	}
-	r, err := resolve(db, q.Query)
+	r, err := resolve(snap, q.Query)
 	if err != nil {
 		return nil, err
 	}

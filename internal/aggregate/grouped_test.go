@@ -33,7 +33,7 @@ func groupedFD() constraint.FD {
 
 func TestConsistentGroupedSum(t *testing.T) {
 	db := groupedDB(t)
-	res, err := ConsistentGrouped(db, GroupedQuery{
+	res, err := ConsistentGrouped(db.Snapshot(), GroupedQuery{
 		Query:   Query{Rel: "m", Fn: Sum, Attr: "reading", FD: groupedFD()},
 		GroupBy: []string{"site"},
 	})
@@ -57,7 +57,7 @@ func TestConsistentGroupedSum(t *testing.T) {
 
 func TestConsistentGroupedCountWithFilter(t *testing.T) {
 	db := groupedDB(t)
-	res, err := ConsistentGrouped(db, GroupedQuery{
+	res, err := ConsistentGrouped(db.Snapshot(), GroupedQuery{
 		Query:   Query{Rel: "m", Fn: Count, Where: "reading >= 10", FD: groupedFD()},
 		GroupBy: []string{"site"},
 	})
@@ -82,18 +82,18 @@ func TestConsistentGroupedCountWithFilter(t *testing.T) {
 
 func TestConsistentGroupedValidation(t *testing.T) {
 	db := groupedDB(t)
-	if _, err := ConsistentGrouped(db, GroupedQuery{
+	if _, err := ConsistentGrouped(db.Snapshot(), GroupedQuery{
 		Query: Query{Rel: "m", Fn: Sum, Attr: "reading", FD: groupedFD()},
 	}); err == nil {
 		t.Error("missing GroupBy should fail")
 	}
-	if _, err := ConsistentGrouped(db, GroupedQuery{
+	if _, err := ConsistentGrouped(db.Snapshot(), GroupedQuery{
 		Query:   Query{Rel: "m", Fn: Sum, Attr: "reading", FD: groupedFD()},
 		GroupBy: []string{"zzz"},
 	}); err == nil {
 		t.Error("unknown group column should fail")
 	}
-	if _, err := ConsistentGrouped(db, GroupedQuery{
+	if _, err := ConsistentGrouped(db.Snapshot(), GroupedQuery{
 		Query:   Query{Rel: "m", Fn: Sum, Attr: "reading", Where: "???", FD: groupedFD()},
 		GroupBy: []string{"site"},
 	}); err == nil {
@@ -102,7 +102,7 @@ func TestConsistentGroupedValidation(t *testing.T) {
 	// The grouped entry point rejects what Consistent rejects.
 	mustExec(db, "CREATE TABLE staff (id INT, name TEXT, dept INT)")
 	mustExec(db, "INSERT INTO staff VALUES (1, 'ann', 10), (1, 'bob', 10), (2, 'cy', 20)")
-	if _, err := ConsistentGrouped(db, GroupedQuery{
+	if _, err := ConsistentGrouped(db.Snapshot(), GroupedQuery{
 		Query: Query{Rel: "staff", Fn: Sum, Attr: "name",
 			FD: constraint.FD{Rel: "staff", LHS: []string{"id"}, RHS: []string{"name"}}},
 		GroupBy: []string{"dept"},
@@ -111,7 +111,7 @@ func TestConsistentGroupedValidation(t *testing.T) {
 	}
 	otherFD := groupedFD()
 	otherFD.Rel = "staff"
-	if _, err := ConsistentGrouped(db, GroupedQuery{
+	if _, err := ConsistentGrouped(db.Snapshot(), GroupedQuery{
 		Query:   Query{Rel: "m", Fn: Sum, Attr: "reading", FD: otherFD},
 		GroupBy: []string{"site"},
 	}); err == nil {
@@ -138,7 +138,7 @@ func TestGroupedRandomizedAgainstOracle(t *testing.T) {
 			mustExec(db, fmt.Sprintf("INSERT INTO m VALUES (%s, %s, %d)", p, r, s))
 		}
 		for _, fn := range []Func{Count, Sum, Min, Max} {
-			got, err := ConsistentGrouped(db, GroupedQuery{
+			got, err := ConsistentGrouped(db.Snapshot(), GroupedQuery{
 				Query:   Query{Rel: "m", Fn: fn, Attr: "reading", FD: groupedFD()},
 				GroupBy: []string{"site"},
 			})

@@ -70,22 +70,20 @@ type Options struct {
 // Stats reports one ConsistentQuery run, stage by stage (mirroring the
 // paper's Figure 1 components).
 type Stats struct {
-	Envelope     time.Duration // Enveloping: plan validation + rewrite
-	Evaluation   time.Duration // Evaluation of the envelope by the engine
-	ProverTime   time.Duration // Prover over all candidates
-	Total        time.Duration
-	Candidates   int   // tuples produced by the envelope
-	Answers      int   // consistent answers
-	CacheHits    int64 // candidates answered from the verdict cache
-	CacheMisses  int64 // candidates certified and stored
-	ProverStats  prover.Stats
-	DetectStats  conflict.DetectStats
-	GraphStats   conflict.Stats
-	Maintenance  MaintenanceStats // hypergraph upkeep since system creation
-	Epoch        uint64           // epoch of the query view the run was served from
-	Workers      int              // certification worker-pool size used
-	QueryPlan    string           // formatted input plan
-	EnvelopePlan string           // formatted envelope plan
+	Envelope    time.Duration // Enveloping: plan validation + rewrite
+	Evaluation  time.Duration // Evaluation of the envelope by the engine
+	ProverTime  time.Duration // Prover over all candidates
+	Total       time.Duration
+	Candidates  int   // tuples produced by the envelope
+	Answers     int   // consistent answers
+	CacheHits   int64 // candidates answered from the verdict cache
+	CacheMisses int64 // candidates certified and stored
+	ProverStats prover.Stats
+	DetectStats conflict.DetectStats
+	GraphStats  conflict.Stats
+	Maintenance MaintenanceStats // hypergraph upkeep since system creation
+	Epoch       uint64           // epoch of the query view the run was served from
+	Workers     int              // certification worker-pool size used
 	// JoinOrder is the planner-chosen base-relation access order of the
 	// executed physical plan.
 	JoinOrder string
@@ -93,9 +91,9 @@ type Stats struct {
 	// rows: the largest row set any single blocking operator held
 	// materialized.
 	PeakIntermediate int64
-	// Strategy names the tier that produced the answers: "rewrite"
-	// (compiled first-order plan, zero certification) or "prover" (full
-	// certification).
+	// Strategy names the tier that produced the answers: "rewrite" (the
+	// query plan under conflict filters, zero certification) or "prover"
+	// (full certification).
 	Strategy string
 	// TierReasons lists the classifier's reasons for ruling out the
 	// rewrite tier (empty when the rewrite tier served the query).
@@ -103,9 +101,6 @@ type Stats struct {
 	// Classify is the tier-classification time, which bounds the
 	// overhead ineligible queries pay.
 	Classify time.Duration
-	// TierFallback reports that a compiled rewrite-tier plan failed at
-	// run time and the prover tier silently re-served the query.
-	TierFallback bool
 	// Tiers snapshots the system's lifetime per-tier counters after this
 	// run was counted.
 	Tiers TierCounters
@@ -159,6 +154,7 @@ type queryView struct {
 	snap       *engine.Snapshot
 	hg         *conflict.HypergraphSnapshot
 	ti         *conflict.TupleIndex
+	profile    *cqaplan.Profile // the constraint set hg was built from
 	detStats   conflict.DetectStats
 	graphStats conflict.Stats
 	maint      MaintenanceStats
@@ -191,6 +187,7 @@ type System struct {
 	// mu serializes view publication and guards the analysis state below.
 	mu          sync.RWMutex
 	constraints []constraint.Constraint
+	profile     *cqaplan.Profile // classifier profile of constraints, per full analysis
 	hg          *conflict.Hypergraph
 	inc         *conflict.IncrementalDetector
 	detStats    conflict.DetectStats
@@ -215,18 +212,8 @@ type System struct {
 	// full re-detections. Internally synchronized.
 	vcache *verdictcache.Cache
 
-	// cepoch counts constraint-set and schema changes; it keys the
-	// prepared rewriter below, so the rewriter is rebuilt the moment a
-	// constraint registers or DDL runs. rwmu guards the rewriter memo
-	// (rwmu is a leaf lock: it is never held while taking mu, only around
-	// Prepare which read-locks mu).
-	cepoch  atomic.Uint64
-	rwmu    sync.Mutex
-	rwprep  *rewrite.Rewriter
-	rwepoch uint64
-
-	// tierRewrite, tierProver and tierFallback back TierCounts.
-	tierRewrite, tierProver, tierFallback atomic.Int64
+	// tierRewrite and tierProver back TierCounts.
+	tierRewrite, tierProver atomic.Int64
 
 	// store is the WAL/checkpoint store of a durable system (nil when
 	// in-memory); ckptMu serializes checkpoints and ckptBytes is the
@@ -328,9 +315,6 @@ func (s *System) AddConstraint(c constraint.Constraint) error {
 	}
 	s.constraints = append(s.constraints, c)
 	s.invalidateLocked()
-	// Advance the constraint epoch: the prepared rewriter was built
-	// against the old constraint set.
-	s.cepoch.Add(1)
 	return nil
 }
 
@@ -409,11 +393,6 @@ func (s *System) SchemaChanged(string) {
 	s.pending = nil
 	s.qmu.Unlock()
 	s.stale.Store(true)
-	// DDL changes the schemas residue predicates are compiled against:
-	// advance the constraint epoch so the rewriter rebuilds (cepoch is
-	// atomic — no mu needed, matching this callback's lock-free
-	// contract).
-	s.cepoch.Add(1)
 	s.nudgeCheckpointer()
 }
 
@@ -451,6 +430,7 @@ func (s *System) analyzeFullFrozen() error {
 		return err
 	}
 	s.hg, s.inc, s.detStats = h, inc, st
+	s.profile = cqaplan.NewProfile(s.db, s.constraints)
 	s.maint.FullRebuilds++
 	s.qmu.Lock()
 	s.analyzed, s.needFull = true, false
@@ -599,6 +579,7 @@ func (s *System) refreshViewLocked() (*queryView, error) {
 		snap:       snap,
 		hg:         hgSnap,
 		ti:         conflict.NewSnapshotTupleIndex(snap.Tables()),
+		profile:    s.profile,
 		detStats:   s.detStats,
 		graphStats: hgSnap.Stats(),
 	}
@@ -755,15 +736,14 @@ func (s *System) ConsistentQueryAtContext(ctx context.Context, sn *Snapshot, sql
 	if err != nil {
 		return nil, nil, err
 	}
-	plan, err := sn.v.snap.PlanQuery(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The plan is already bound to the pinned snapshot — no rebind.
-	return s.runQueryViewBound(ctx, sn.v, plan, opts)
+	return s.runQueryView(ctx, sn.v, q, opts)
 }
 
-// ConsistentQuery computes the consistent answers to an SJUD SQL query.
+// ConsistentQuery computes the consistent answers to an SJUD SQL query
+// against the current query view. A top-level ORDER BY / LIMIT decorates
+// the certified answer set: the SJUD core is certified first, then
+// ordering and truncation apply to the consistent answers (certainty is a
+// property of the set, so this is the only coherent reading).
 func (s *System) ConsistentQuery(sql string, opts Options) (*engine.Result, *Stats, error) {
 	return s.ConsistentQueryContext(context.Background(), sql, opts)
 }
@@ -777,43 +757,22 @@ func (s *System) ConsistentQueryContext(ctx context.Context, sql string, opts Op
 	if err != nil {
 		return nil, nil, err
 	}
-	plan, err := s.db.PlanQuery(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.ConsistentQueryPlanContext(ctx, plan, opts)
-}
-
-// ConsistentQueryPlan computes consistent answers for an already-planned
-// query. A top-level ORDER BY / LIMIT decorates the certified answer set:
-// the SJUD core is certified first, then ordering and truncation apply to
-// the consistent answers (certainty is a property of the set, so this is
-// the only coherent reading). The plan's base-relation accesses are
-// rebound to the query view's snapshot, so evaluation and certification
-// see one consistent cut even while writers are active.
-func (s *System) ConsistentQueryPlan(plan ra.Node, opts Options) (*engine.Result, *Stats, error) {
-	return s.ConsistentQueryPlanContext(context.Background(), plan, opts)
-}
-
-// ConsistentQueryPlanContext is ConsistentQueryPlan under ctx (see
-// ConsistentQueryContext).
-func (s *System) ConsistentQueryPlanContext(ctx context.Context, plan ra.Node, opts Options) (*engine.Result, *Stats, error) {
 	v, err := s.currentView()
 	if err != nil {
 		return nil, nil, err
 	}
-	// Rebind the plan's base-relation accesses onto the view's snapshot.
-	plan, err = engine.Rebind(plan, v.snap)
+	return s.runQueryView(ctx, v, q, opts)
+}
+
+// runQueryView plans q on the view's snapshot and executes the
+// classify/envelope/evaluate/certify pipeline against that immutable
+// view, so evaluation and certification see one consistent cut even
+// while writers are active. It takes no locks.
+func (s *System) runQueryView(ctx context.Context, v *queryView, q *sqlparse.Query, opts Options) (*engine.Result, *Stats, error) {
+	plan, err := v.snap.PlanQuery(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.runQueryViewBound(ctx, v, plan, opts)
-}
-
-// runQueryViewBound executes the envelope/evaluate/certify pipeline
-// against an immutable query view; the plan must already be bound to the
-// view's snapshot. It takes no locks.
-func (s *System) runQueryViewBound(ctx context.Context, v *queryView, plan ra.Node, opts Options) (*engine.Result, *Stats, error) {
 	// Peel trailing Sort/Limit decorators (outermost first).
 	var decorators []func(ra.Node) ra.Node
 	for {
@@ -837,14 +796,13 @@ func (s *System) runQueryViewBound(ctx context.Context, v *queryView, plan ra.No
 		GraphStats:  v.graphStats,
 		Maintenance: v.maint,
 		Epoch:       v.epoch,
-		QueryPlan:   ra.Format(plan),
 	}
 
-	// Tier classification: eligible queries run a compiled first-order
-	// plan (rewrite tier, zero certification); everything else takes the
-	// prover tier.
+	// Tier classification: eligible queries run their own plan under
+	// conflict filters (rewrite tier, zero certification); everything else
+	// takes the prover tier.
 	tc0 := time.Now()
-	dec := s.tierDecision(plan, opts)
+	dec := tierDecision(v, plan, opts)
 	stats.Classify = time.Since(tc0)
 	stats.Strategy = dec.Tier.String()
 	stats.TierReasons = dec.ReasonStrings()
@@ -854,31 +812,16 @@ func (s *System) runQueryViewBound(ctx context.Context, v *queryView, plan ra.No
 
 	var answers *engine.Result
 	if dec.Tier == cqaplan.TierRewrite {
-		res, rerr := s.answerRewrite(ctx, v, dec, stats)
-		switch {
-		case rerr == nil:
-			answers = res
-		case isCtxErr(ctx, rerr):
-			return nil, nil, rerr
-		case opts.Tier == TierRequireRewrite:
-			// The caller asked for no silent fallback.
-			return nil, nil, fmt.Errorf("%w: compiled plan failed: %w", ErrRewriteIneligible, rerr)
-		default:
-			// A compiled plan failing at run time must never surface to
-			// the client: fall back to the prover tier silently.
-			stats.TierFallback = true
-			stats.Strategy = cqaplan.TierProver.String()
+		if answers, err = s.answerRewrite(ctx, v, plan, stats); err != nil {
+			return nil, nil, err
 		}
-	}
-
-	if answers == nil {
+	} else {
 		// Enveloping.
 		t0 := time.Now()
 		env, err := envelope.Envelope(plan)
 		if err != nil {
 			return nil, nil, err
 		}
-		stats.EnvelopePlan = ra.Format(env)
 		stats.Envelope = time.Since(t0)
 
 		// Evaluation + Prover: envelope rows stream straight into the
@@ -917,14 +860,15 @@ type certConfig struct {
 
 // certConfig wires the verdict cache: verdicts hit the cache first
 // (unless the run measures uncached certification), and misses are
-// certified with dependency tracking and stored for later views.
-func (s *System) certConfig(v *queryView, opts Options, stats *Stats) certConfig {
+// certified with dependency tracking and stored for later views. The
+// cache keys verdicts on the formatted query plan.
+func (s *System) certConfig(v *queryView, plan ra.Node, opts Options) certConfig {
 	if opts.DisableVerdictCache {
 		return certConfig{}
 	}
 	return certConfig{
 		useCache:    true,
-		querySig:    verdictcache.QuerySignature(stats.QueryPlan),
+		querySig:    verdictcache.QuerySignature(ra.Format(plan)),
 		compResolve: v.hg.Graph().Component,
 	}
 }
@@ -988,7 +932,7 @@ type candItem struct {
 // answers keep candidate production order, matching the sequential run.
 func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env ra.Node, opts Options, stats *Stats) (*engine.Result, error) {
 	t0 := time.Now()
-	cfg := s.certConfig(v, opts, stats)
+	cfg := s.certConfig(v, plan, opts)
 	phys := engine.Optimize(env)
 	stats.JoinOrder = planLeafOrder(phys)
 
@@ -1100,16 +1044,12 @@ func planLeafOrder(phys ra.Node) string {
 	return strings.Join(names, ",")
 }
 
-// Rewriter returns the query-rewriting baseline prepared for this
-// system's constraints (erroring if they are outside its class). The
-// rewriter is cached per constraint epoch — registering a constraint or
-// running DDL triggers a rebuild, not each call.
+// Rewriter prepares the query-rewriting baseline for this system's
+// current constraints (erroring if they are outside its class). Each call
+// prepares afresh; callers that rewrite many queries prepare once and
+// reuse the rewriter.
 func (s *System) Rewriter() (*rewrite.Rewriter, error) {
-	rw := s.preparedRewriter(s.cepoch.Load())
-	if err := rw.Err(); err != nil {
-		return nil, err
-	}
-	return rw, nil
+	return rewrite.New(s.db, s.Constraints())
 }
 
 // RepairEnumerator returns the exponential repair oracle over the current
@@ -1145,11 +1085,9 @@ func (s *System) Support(sql string) (SupportSummary, error) {
 		return out, err
 	}
 	out.Hippo = envelope.CheckQuery(plan)
-	rw := s.preparedRewriter(s.cepoch.Load())
-	if err := rw.Err(); err != nil {
-		out.Rewrite = err
-	} else if _, err := rw.Rewrite(plan); err != nil {
-		out.Rewrite = err
+	rw := rewrite.Prepare(s.db, s.Constraints())
+	if out.Rewrite = rw.Err(); out.Rewrite == nil {
+		_, out.Rewrite = rw.Rewrite(plan)
 	}
 	return out, nil
 }
@@ -1165,8 +1103,8 @@ func FormatStats(st *Stats) string {
 		reasons = "-"
 	}
 	return fmt.Sprintf(
-		"tier=%s classify=%v fallback=%v reasons=%s\n"+
-			"tier-totals: rewrite=%d prover=%d fallbacks=%d\n"+
+		"tier=%s classify=%v reasons=%s\n"+
+			"tier-totals: rewrite=%d prover=%d\n"+
 			"candidates=%d answers=%d workers=%d epoch=%d\n"+
 			"planner: join-order=%s peak-intermediate-rows=%d\n"+
 			"envelope=%v evaluation=%v prover=%v total=%v\n"+
@@ -1175,8 +1113,8 @@ func FormatStats(st *Stats) string {
 			"verdict-cache: hits=%d misses=%d entries=%d invalidated=%d\n"+
 			"maintenance: deltas=%d edges+%d edges-%d full-rebuilds=%d overflows=%d\n"+
 			"snapshots: published=%d reclaimed=%d slabs-reclaimed=%d",
-		st.Strategy, st.Classify, st.TierFallback, reasons,
-		st.Tiers.Rewrite, st.Tiers.Prover, st.Tiers.Fallbacks,
+		st.Strategy, st.Classify, reasons,
+		st.Tiers.Rewrite, st.Tiers.Prover,
 		st.Candidates, st.Answers, st.Workers, st.Epoch,
 		order, st.PeakIntermediate,
 		st.Envelope, st.Evaluation, st.ProverTime, st.Total,

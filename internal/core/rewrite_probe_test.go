@@ -12,6 +12,7 @@ import (
 	"hippo/internal/engine"
 	"hippo/internal/oracle"
 	"hippo/internal/ra"
+	"hippo/internal/rewrite"
 	"hippo/internal/sqlparse"
 )
 
@@ -70,8 +71,10 @@ func randomProbeStmt(rng *rand.Rand) string {
 	}
 }
 
-// rewriteReference evaluates the decision's self-contained anti-join plan
-// on the pinned snapshot, with no hypergraph involved.
+// rewriteReference evaluates the Arenas–Bertossi–Chomicki rewriting —
+// cqaplan.Classify's self-contained anti-join plan — on the pinned
+// snapshot, with no hypergraph involved. It also checks that the plan the
+// rewrite tier serves for q carries conflict filters and no anti-joins.
 func rewriteReference(t *testing.T, s *System, sn *Snapshot, q string) []string {
 	t.Helper()
 	pq, err := sqlparse.ParseQuery(q)
@@ -82,31 +85,33 @@ func rewriteReference(t *testing.T, s *System, sn *Snapshot, q string) []string 
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := s.tierDecision(plan, Options{})
+	cs := s.Constraints()
+	dec := cqaplan.Classify(rewrite.Prepare(s.DB(), cs), cs, plan)
 	if dec.Tier != cqaplan.TierRewrite || dec.Residues == 0 {
 		t.Fatalf("%q: decision tier %s with %d residues (reasons %v), want rewrite with residues",
 			q, dec.Tier, dec.Residues, dec.ReasonStrings())
 	}
-	bound, err := engine.Rebind(dec.Plan, sn.v.snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The served plan must carry conflict probes, not anti-joins.
-	phys, err := probeResidues(engine.Optimize(bound), sn.v)
+	phys, err := servedPlan(sn.v, plan)
 	if err != nil {
 		t.Fatalf("%q: %v", q, err)
 	}
-	probes, antis := 0, 0
+	filters, antis := 0, 0
 	ra.Walk(phys, func(n ra.Node) {
 		switch n.(type) {
 		case *conflictFilter:
-			probes++
+			filters++
 		case *ra.AntiJoin:
 			antis++
 		}
 	})
-	if probes == 0 || antis != 0 {
-		t.Fatalf("%q: served plan has %d probes and %d anti-joins:\n%s", q, probes, antis, ra.Format(phys))
+	if filters == 0 || antis != 0 {
+		t.Fatalf("%q: served plan has %d conflict filters and %d anti-joins:\n%s", q, filters, antis, ra.Format(phys))
+	}
+	// The rewriting's residue partners scan the live tables: rebind them
+	// to the pinned snapshot.
+	bound, err := engine.Rebind(dec.Plan, sn.v.snap)
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := sn.v.snap.RunPlan(bound)
 	if err != nil {
@@ -117,11 +122,10 @@ func rewriteReference(t *testing.T, s *System, sn *Snapshot, q string) []string 
 
 // TestRewriteTierDifferential drives randomized DML into the probe
 // instance and, between updates, checks every rewrite-tier answer against
-// two references: the decision's anti-join plan on the same pinned
+// two references: the rewriting's anti-join plan on the same pinned
 // snapshot (bag-equal) and the repair oracle (set-equal); the prover tier
-// must match the oracle as well.
-// Every run must be served by the rewrite tier, so a silent prover
-// fallback cannot pass. Before the sequential run, k readers query the same
+// must match the oracle as well. Every run must be served by the rewrite
+// tier. Before the sequential run, k readers query the same
 // snapshot at once and must agree with it: k=1 builds the view's lazy tuple
 // index alone, k=2 races two readers on it (run under -race in CI).
 func TestRewriteTierDifferential(t *testing.T) {
@@ -178,14 +182,14 @@ func rewriteTierDifferential(t *testing.T, readers int) {
 			if err != nil {
 				t.Fatalf("step %d %q: %v", step, q, err)
 			}
-			if st.Strategy != "rewrite" || st.TierFallback {
-				t.Fatalf("step %d %q: strategy %q fallback %v (reasons %v), want rewrite",
-					step, q, st.Strategy, st.TierFallback, st.TierReasons)
+			if st.Strategy != "rewrite" {
+				t.Fatalf("step %d %q: strategy %q (reasons %v), want rewrite",
+					step, q, st.Strategy, st.TierReasons)
 			}
 			got := rowStrings(res.Rows)
 			ref := rewriteReference(t, sys, sn, q)
 			if strings.Join(got, "|") != strings.Join(ref, "|") {
-				t.Fatalf("step %d %q: probed answers %v != anti-join plan %v", step, q, got, ref)
+				t.Fatalf("step %d %q: served answers %v != anti-join plan %v", step, q, got, ref)
 			}
 			for r := 0; r < readers; r++ {
 				if c := concurrent[r*nq+i]; strings.Join(c, "|") != strings.Join(got, "|") {
@@ -217,47 +221,5 @@ func rewriteTierDifferential(t *testing.T, readers int) {
 	}
 	if oracleChecks < 3*len(rewriteDiffQueries) {
 		t.Errorf("oracle checked only %d answers; the instance outgrew it", oracleChecks)
-	}
-}
-
-// TestProbeResiduesRejectsNonResidueShapes: an anti-join that is not a
-// residue over a base-relation access must make the substitution fail
-// (the caller then falls back to the prover) rather than be probed.
-func TestProbeResiduesRejectsNonResidueShapes(t *testing.T) {
-	db := engine.New()
-	mustExec(db, "CREATE TABLE emp (id INT, salary INT)")
-	mustExec(db, "CREATE TABLE dept (id INT, budget INT)")
-	mustExec(db, "INSERT INTO emp VALUES (1, 100), (1, 200), (2, 150)")
-	sys := NewSystem(db, []constraint.Constraint{
-		constraint.FD{Rel: "emp", LHS: []string{"id"}, RHS: []string{"salary"}},
-	})
-	defer sys.Close()
-	v, err := sys.currentView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	emp, _ := v.snap.Table("emp")
-	dept, _ := v.snap.Table("dept")
-	pred := ra.Cmp{Op: ra.EQ, L: ra.Col{Index: 0}, R: ra.Col{Index: 2}}
-	scan := func() ra.Node { return &ra.Scan{Table: emp} }
-	cases := map[string]ra.Node{
-		"partner is not a scan": &ra.AntiJoin{
-			L: scan(), R: &ra.Select{Child: scan(), Pred: pred}, Pred: pred},
-		"input is a join": &ra.AntiJoin{
-			L:    &ra.Join{L: scan(), R: &ra.Scan{Table: dept}, Pred: pred},
-			R:    scan(),
-			Pred: pred,
-		},
-		"semi-join": &ra.SemiJoin{L: scan(), R: scan(), Pred: pred},
-	}
-	for name, plan := range cases {
-		if got, err := probeResidues(plan, v); err == nil {
-			t.Errorf("%s: substitution accepted the plan:\n%s", name, ra.Format(got))
-		}
-	}
-	ok := &ra.AntiJoin{L: &ra.Select{Child: scan(), Pred: ra.Cmp{Op: ra.GT, L: ra.Col{Index: 1}, R: ra.Col{Index: 0}}},
-		R: scan(), Pred: pred}
-	if _, err := probeResidues(ok, v); err != nil {
-		t.Errorf("residue over a filtered scan rejected: %v", err)
 	}
 }

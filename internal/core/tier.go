@@ -11,7 +11,6 @@ import (
 	"hippo/internal/cqaplan"
 	"hippo/internal/engine"
 	"hippo/internal/ra"
-	"hippo/internal/rewrite"
 	"hippo/internal/schema"
 	"hippo/internal/value"
 )
@@ -26,93 +25,56 @@ const (
 	// TierForceProver routes the query through the prover tier
 	// unconditionally — the differential-testing and benchmark baseline.
 	TierForceProver
-	// TierRequireRewrite fails the query with ErrRewriteIneligible unless
-	// the rewrite tier serves it: when the classifier routes it away, and
-	// when the compiled plan fails at run time, instead of silently
-	// falling back; tests and benchmarks use it to assert the fast path
-	// fires.
+	// TierRequireRewrite fails the query with ErrRewriteIneligible when
+	// the classifier routes it away from the rewrite tier, instead of
+	// serving it through the prover; tests and benchmarks use it to
+	// assert the fast path fires.
 	TierRequireRewrite
 )
 
 // ErrRewriteIneligible reports a TierRequireRewrite run whose query the
-// classifier routed away from the rewrite tier, or whose compiled plan
-// failed at run time (the error then wraps the cause too).
+// classifier routed away from the rewrite tier.
 var ErrRewriteIneligible = errors.New("core: query is not eligible for the rewrite tier")
 
 // TierCounters are lifetime counts of consistent-query runs by the tier
-// that produced their answers, plus rewrite-tier executions that failed
-// mid-run and were silently re-served by the prover.
+// that produced their answers.
 type TierCounters struct {
 	Rewrite int64
 	// Hybrid is always 0: the classifier routes every query to the
 	// rewrite or the prover tier. The field stays so existing readers of
 	// TierCounters keep compiling.
-	Hybrid    int64
-	Prover    int64
+	Hybrid int64
+	Prover int64
+	// Fallbacks is always 0: a rewrite-tier run runs the same engine on
+	// the same view as the prover tier, so its errors reach the caller
+	// instead of being re-served. The field stays so existing readers of
+	// TierCounters keep compiling.
 	Fallbacks int64
 }
 
 // TierCounts reports the system's lifetime per-tier counters.
 func (s *System) TierCounts() TierCounters {
-	return TierCounters{
-		Rewrite:   s.tierRewrite.Load(),
-		Prover:    s.tierProver.Load(),
-		Fallbacks: s.tierFallback.Load(),
-	}
+	return TierCounters{Rewrite: s.tierRewrite.Load(), Prover: s.tierProver.Load()}
 }
 
-// ConstraintEpoch returns the constraint-change counter: it advances on
-// every AddConstraint and DDL statement, and keys the prepared rewriter.
-func (s *System) ConstraintEpoch() uint64 { return s.cepoch.Load() }
-
-// preparedRewriter returns the rewriter prepared for the current
-// constraint set, rebuilding it only when the constraint epoch moved.
-// This replaces the old behavior of constructing a fresh rewrite.Rewriter
-// on every Rewriter/Support call.
-func (s *System) preparedRewriter(epoch uint64) *rewrite.Rewriter {
-	s.rwmu.Lock()
-	defer s.rwmu.Unlock()
-	if s.rwprep == nil || s.rwepoch != epoch {
-		s.rwprep = rewrite.Prepare(s.db, s.Constraints())
-		s.rwepoch = epoch
-	}
-	return s.rwprep
-}
-
-// tierDecision classifies the plan for this run. It never fails:
-// classification trouble yields a prover-tier decision with reasons.
-func (s *System) tierDecision(plan ra.Node, opts Options) *cqaplan.Decision {
+// tierDecision classifies the plan against the view's constraint profile.
+// It takes no lock and never fails: classification trouble yields a
+// prover-tier decision with reasons.
+func tierDecision(v *queryView, plan ra.Node, opts Options) *cqaplan.Decision {
 	if opts.Tier == TierForceProver {
 		return &cqaplan.Decision{Tier: cqaplan.TierProver, Reasons: []cqaplan.Reason{
 			{Code: cqaplan.ReasonForced, Detail: "prover tier forced by options"}}}
 	}
-	return cqaplan.Classify(s.preparedRewriter(s.cepoch.Load()), s.Constraints(), plan)
+	return cqaplan.Decide(v.profile, plan)
 }
 
-// testTierExecHook, when set (tests only), runs at the top of every
-// rewrite-tier execution; an error simulates a compiled plan failing at
-// run time so the silent prover fallback (and its refusal under
-// TierRequireRewrite) can be exercised.
-var testTierExecHook func() error
-
-// answerRewrite serves a rewrite-tier decision: the compiled plan is
-// rebound to the view's snapshot and physically planned, its residue
-// anti-joins become conflict probes against the same view (probeResidues),
-// and the result streams through the planner's iterators. No envelope is
-// built and no candidate is certified — the plan's rows are the
-// consistent answers.
-func (s *System) answerRewrite(ctx context.Context, v *queryView, dec *cqaplan.Decision, stats *Stats) (*engine.Result, error) {
-	if h := testTierExecHook; h != nil {
-		if err := h(); err != nil {
-			return nil, err
-		}
-	}
-	bound, err := engine.Rebind(dec.Plan, v.snap)
-	if err != nil {
-		return nil, err
-	}
+// answerRewrite serves a rewrite-tier query: the query plan itself,
+// physically planned and run under conflict filters against the same view
+// (servedPlan). No envelope is built and no candidate is certified — the
+// plan's rows are the consistent answers.
+func (s *System) answerRewrite(ctx context.Context, v *queryView, plan ra.Node, stats *Stats) (*engine.Result, error) {
 	t0 := time.Now()
-	phys, err := probeResidues(engine.Optimize(bound), v)
+	phys, err := servedPlan(v, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -124,112 +86,88 @@ func (s *System) answerRewrite(ctx context.Context, v *queryView, dec *cqaplan.D
 	}
 	stats.PeakIntermediate = es.PeakIntermediate()
 	stats.Evaluation = time.Since(t0)
-	return &engine.Result{Schema: bound.Schema(), Rows: res.Rows}, nil
+	return &engine.Result{Schema: plan.Schema(), Rows: res.Rows}, nil
 }
 
-// probeResidues replaces every chain of residue anti-joins over one base
-// relation in a physical rewrite-tier plan with a single conflictFilter on
-// the view v. The query's own scans and predicates stay as they are.
+// servedPlan is the physical plan the rewrite tier runs for a plan bound
+// to v's snapshot: the query plan with every projection DISTINCT (the
+// envelope's multiplicity), optimized, then filterConflicts.
+func servedPlan(v *queryView, plan ra.Node) (ra.Node, error) {
+	return filterConflicts(engine.Optimize(cqaplan.Distinctify(plan)), v, true)
+}
+
+// filterConflicts wraps the maximal Select chain over each positive leaf
+// of a constrained relation in a conflictFilter on the view v. A leaf on
+// the right side of a Diff is negative and stays unfiltered: the rewriting
+// gives negative occurrences no residue, and the classifier limits that
+// side to one atom. The filter sits above the pushed-down selections,
+// where the rewriting's residues would sit.
 //
 // Why the filter is exact. The classifier admits the rewrite tier only
 // under two conditions. Coverage: every constraint that mentions a scanned
-// relation R is a unary or binary denial, installed as residues on R. The
-// constraint-interaction guard: R does not mix unary and binary
-// constraints. A residue on R drops a tuple t exactly when some partner
-// tuple (t itself, for a unary denial) completes a violation with t.
-// Conflict detection adds a hyperedge for every violating combination,
-// judged with the same three-valued comparisons the residue evaluates (a
-// NULL neither equals nor differs from anything), so
-// t fails some residue of R iff t is a vertex of some hyperedge, i.e. iff
-// InConflict(t) holds in the view's hypergraph. Coverage rules out edges on
-// R that no residue mirrors, and the guard is what makes "in no hyperedge"
-// mean "in every repair": it keeps a unary denial's dead tuple from
-// knocking out its binary partners, which would make the residues and this
-// filter over-subtract alike.
-//
-// Finding the residues. envelope.CheckQuery rejects EXISTS and IN before
-// classification, so every AntiJoin of a rewrite-tier plan is a residue.
-// The shape is still checked: each partner side must be a Scan, and the
-// chain must end at a Scan or IndexLookup under Selects. Any other shape
-// is an error, which the caller turns into the silent prover fallback.
-func probeResidues(n ra.Node, v *queryView) (ra.Node, error) {
-	switch t := n.(type) {
-	case *ra.AntiJoin:
-		base := ra.Node(t)
-		for {
-			aj, ok := base.(*ra.AntiJoin)
-			if !ok {
-				break
-			}
-			if _, ok := aj.R.(*ra.Scan); !ok {
-				return nil, fmt.Errorf("core: residue partner %s is not a base-relation scan", aj.R)
-			}
-			base = aj.L
+// relation R is a unary or binary denial, whose residue on R drops a
+// tuple t exactly when some partner tuple (t itself, for a unary denial)
+// completes a violation with t. The constraint-interaction guard: R does
+// not mix unary and binary constraints. Conflict detection adds a
+// hyperedge for every violating combination, judged with the same
+// three-valued comparisons the residue evaluates (a NULL neither equals
+// nor differs from anything), so t fails some residue of R iff t is a
+// vertex of some hyperedge, i.e. iff InConflict(t) holds in the view's
+// hypergraph. Coverage rules out edges on R that no residue mirrors, and
+// the guard is what makes "in no hyperedge" mean "in every repair": it
+// keeps a unary denial's dead tuple from knocking out its binary partners,
+// which would make the residues and this filter over-subtract alike.
+func filterConflicts(n ra.Node, v *queryView, positive bool) (ra.Node, error) {
+	if rel, ok := accessedRelation(n); ok {
+		if positive && v.profile.Constrained(rel) {
+			return newConflictFilter(n, rel, v), nil
 		}
-		rel, err := residueRelation(base)
-		if err != nil {
-			return nil, err
-		}
-		return newConflictFilter(base, rel, v), nil
-	case *ra.Scan, *ra.IndexLookup:
 		return n, nil
+	}
+	kids := n.Children()
+	_, diff := n.(*ra.Diff)
+	out := make([]ra.Node, len(kids))
+	for i, k := range kids {
+		c, err := filterConflicts(k, v, positive && !(diff && i == 1))
+		if err != nil {
+			return nil, err
+		}
+		out[i] = c
+	}
+	switch t := n.(type) {
 	case *ra.Select:
-		c, err := probeResidues(t.Child, v)
-		if err != nil {
-			return nil, err
-		}
-		return &ra.Select{Child: c, Pred: t.Pred}, nil
+		return &ra.Select{Child: out[0], Pred: t.Pred}, nil
 	case *ra.Project:
-		c, err := probeResidues(t.Child, v)
-		if err != nil {
-			return nil, err
-		}
-		return &ra.Project{Child: c, Exprs: t.Exprs, Names: t.Names, Distinct: t.Distinct}, nil
+		return &ra.Project{Child: out[0], Exprs: t.Exprs, Names: t.Names, Distinct: t.Distinct}, nil
 	case *ra.DistinctNode:
-		c, err := probeResidues(t.Child, v)
-		if err != nil {
-			return nil, err
-		}
-		return &ra.DistinctNode{Child: c}, nil
-	case *ra.Join, *ra.Product, *ra.Diff, *ra.Intersect:
-		kids := n.Children()
-		l, err := probeResidues(kids[0], v)
-		if err != nil {
-			return nil, err
-		}
-		r, err := probeResidues(kids[1], v)
-		if err != nil {
-			return nil, err
-		}
-		switch t := n.(type) {
-		case *ra.Join:
-			return &ra.Join{L: l, R: r, Pred: t.Pred}, nil
-		case *ra.Product:
-			return &ra.Product{L: l, R: r}, nil
-		case *ra.Diff:
-			return &ra.Diff{L: l, R: r}, nil
-		default:
-			return &ra.Intersect{L: l, R: r}, nil
-		}
+		return &ra.DistinctNode{Child: out[0]}, nil
+	case *ra.Join:
+		return &ra.Join{L: out[0], R: out[1], Pred: t.Pred}, nil
+	case *ra.Product:
+		return &ra.Product{L: out[0], R: out[1]}, nil
+	case *ra.Diff:
+		return &ra.Diff{L: out[0], R: out[1]}, nil
+	case *ra.Intersect:
+		return &ra.Intersect{L: out[0], R: out[1]}, nil
 	default:
 		return nil, fmt.Errorf("core: unexpected operator %s in a rewrite-tier plan", n)
 	}
 }
 
-// residueRelation follows a residue chain's input down through Selects to
-// the base-relation access it must end at, and returns that relation's
-// name as hypergraph vertices carry it.
-func residueRelation(n ra.Node) (string, error) {
+// accessedRelation follows a chain of Selects down to a base-relation
+// access and returns that relation's name as hypergraph vertices carry it
+// (ok is false when the chain ends anywhere else).
+func accessedRelation(n ra.Node) (string, bool) {
 	for {
 		switch t := n.(type) {
 		case *ra.Select:
 			n = t.Child
 		case *ra.Scan:
-			return strings.ToLower(t.Table.Name()), nil
+			return strings.ToLower(t.Table.Name()), true
 		case *ra.IndexLookup:
-			return strings.ToLower(t.Table.Name()), nil
+			return strings.ToLower(t.Table.Name()), true
 		default:
-			return "", fmt.Errorf("core: residue input %s is not a base-relation access", n)
+			return "", false
 		}
 	}
 }
@@ -253,7 +191,7 @@ func (f *conflictFilter) Schema() schema.Schema { return f.child.Schema() }
 func (f *conflictFilter) Children() []ra.Node   { return []ra.Node{f.child} }
 func (f *conflictFilter) String() string        { return "ConflictFree(" + f.rel + ")" }
 
-// EstimateCard estimates like the anti-joins it replaces: as its input.
+// EstimateCard estimates as its input.
 func (f *conflictFilter) EstimateCard() int64 { return ra.EstimateCard(f.child) }
 
 func (f *conflictFilter) Open(ctx context.Context) (ra.Iterator, error) {
@@ -306,23 +244,13 @@ func (it *conflictFilterIter) Next() (value.Tuple, bool, error) {
 
 func (it *conflictFilterIter) Close() error { return it.child.Close() }
 
-// noteTier folds the run's final strategy into the lifetime counters and
+// noteTier folds the run's strategy into the lifetime counters and
 // snapshots them into the stats.
 func (s *System) noteTier(stats *Stats) {
-	if stats.TierFallback {
-		s.tierFallback.Add(1)
-	}
-	switch stats.Strategy {
-	case cqaplan.TierRewrite.String():
+	if stats.Strategy == cqaplan.TierRewrite.String() {
 		s.tierRewrite.Add(1)
-	default:
+	} else {
 		s.tierProver.Add(1)
 	}
 	stats.Tiers = s.TierCounts()
-}
-
-// isCtxErr reports whether err is (or wraps) a context cancellation: such
-// failures propagate to the caller instead of triggering a tier fallback.
-func isCtxErr(ctx context.Context, err error) bool {
-	return ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

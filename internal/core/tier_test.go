@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	"hippo/internal/constraint"
+	"hippo/internal/cqaplan"
 	"hippo/internal/engine"
+	"hippo/internal/rewrite"
+	"hippo/internal/sqlparse"
 )
 
 // oracleAnswers computes the consistent answers by repair enumeration —
@@ -164,18 +167,15 @@ func TestTierHybridCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := NewSystem(db, []constraint.Constraint{fd, den})
-	st := assertTier(t, sys, "SELECT * FROM emp e, aud a WHERE e.id = a.k", "prover", "constraint-uncovered")
-	if st.TierFallback {
-		t.Error("prover run flagged as fallback")
-	}
+	assertTier(t, sys, "SELECT * FROM emp e, aud a WHERE e.id = a.k", "prover", "constraint-uncovered")
 	if tc := sys.TierCounts(); tc.Hybrid != 0 || tc.Prover == 0 {
 		t.Errorf("tier counters = %+v, want prover runs and no hybrid ones", tc)
 	}
 }
 
 // TestTierReclassifiesOnConstraintChange: the same query must be
-// re-decided after a mid-session AddConstraint — the constraint epoch
-// invalidates the prepared rewriter.
+// re-decided after a mid-session AddConstraint — the full analysis it
+// schedules publishes a view with the new constraint profile.
 func TestTierReclassifiesOnConstraintChange(t *testing.T) {
 	s := newSystem(t)
 	const q = "SELECT * FROM emp WHERE salary > 120"
@@ -194,20 +194,14 @@ func TestTierReclassifiesOnConstraintChange(t *testing.T) {
 	}
 }
 
-// TestRewriterCachedPerEpoch pins the satellite fix: Rewriter() must
-// return the same prepared instance until the constraint set changes.
+// TestRewriterCachedPerEpoch: Rewriter() must never serve a rewriter
+// prepared for an older constraint set — after AddConstraint, the new
+// denial is installed as a residue.
 func TestRewriterCachedPerEpoch(t *testing.T) {
 	s := newSystem(t)
 	rw1, err := s.Rewriter()
 	if err != nil {
 		t.Fatal(err)
-	}
-	rw2, err := s.Rewriter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rw1 != rw2 {
-		t.Error("Rewriter() rebuilt the rewriter with an unchanged constraint set")
 	}
 	den, err := constraint.ParseDenial("emp AS x WHERE x.salary < 0")
 	if err != nil {
@@ -216,54 +210,24 @@ func TestRewriterCachedPerEpoch(t *testing.T) {
 	if err := s.AddConstraint(den); err != nil {
 		t.Fatal(err)
 	}
-	rw3, err := s.Rewriter()
+	rw2, err := s.Rewriter()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rw3 == rw1 {
-		t.Error("Rewriter() served a stale instance after AddConstraint")
+	if rw2.ResidueCount() <= rw1.ResidueCount() {
+		t.Errorf("Rewriter() after AddConstraint has %d residues, before %d: stale constraint set",
+			rw2.ResidueCount(), rw1.ResidueCount())
 	}
 }
 
-// TestTierFallbackIsSilent: a compiled rewrite plan that fails at run
-// time must not surface to the caller — the prover re-serves the query,
-// the stats record the fallback, and the counter advances.
-func TestTierFallbackIsSilent(t *testing.T) {
-	s := newSystem(t)
-	testTierExecHook = func() error { return errors.New("simulated compiled-plan failure") }
-	defer func() { testTierExecHook = nil }()
-	const q = "SELECT * FROM emp WHERE salary > 120"
-	res, st, err := s.ConsistentQuery(q, Options{})
-	if err != nil {
-		t.Fatalf("fallback leaked to the caller: %v", err)
-	}
-	if !st.TierFallback || st.Strategy != "prover" {
-		t.Errorf("stats = strategy %q fallback %v, want prover/true", st.Strategy, st.TierFallback)
-	}
-	if got := s.TierCounts().Fallbacks; got != 1 {
-		t.Errorf("fallback counter = %d, want 1", got)
-	}
-	if !strings.Contains(FormatStats(st), "fallback=true") {
-		t.Errorf("FormatStats missing fallback flag:\n%s", FormatStats(st))
-	}
-	got, want := rowStrings(res.Rows), oracleAnswers(t, s, q)
-	if strings.Join(got, "|") != strings.Join(want, "|") {
-		t.Errorf("fallback answers %v != oracle %v", got, want)
-	}
-}
-
-// TestTierRequireRewriteNoFallback: under TierRequireRewrite a compiled
-// rewrite plan that fails at run time must surface as an error wrapping
-// both ErrRewriteIneligible and the cause, not be re-served by the
-// prover; neither a fallback nor a prover run may be counted.
+// TestTierRequireRewriteNoFallback: under TierRequireRewrite a query the
+// classifier routes away must surface as ErrRewriteIneligible, not be
+// served by the prover; no tier run may be counted.
 func TestTierRequireRewriteNoFallback(t *testing.T) {
 	s := newSystem(t)
-	cause := errors.New("simulated compiled-plan failure")
-	testTierExecHook = func() error { return cause }
-	defer func() { testTierExecHook = nil }()
-	_, _, err := s.ConsistentQuery("SELECT * FROM emp WHERE salary > 120", Options{Tier: TierRequireRewrite})
-	if !errors.Is(err, ErrRewriteIneligible) || !errors.Is(err, cause) {
-		t.Fatalf("err = %v, want ErrRewriteIneligible wrapping the cause", err)
+	_, _, err := s.ConsistentQuery("SELECT * FROM emp e, emp f WHERE e.id = f.id", Options{Tier: TierRequireRewrite})
+	if !errors.Is(err, ErrRewriteIneligible) {
+		t.Fatalf("err = %v, want ErrRewriteIneligible", err)
 	}
 	if tc := s.TierCounts(); tc != (TierCounters{}) {
 		t.Errorf("tier counters = %+v, want none counted", tc)
@@ -282,10 +246,12 @@ func TestTierRequireRewriteErrors(t *testing.T) {
 	}
 }
 
-// FuzzTierClassifier drives randomized (instance, constraint set, query)
-// triples through automatic tier selection and the forced prover tier,
-// requiring identical answer sets — the classifier may only ever pick a
-// tier whose answers match certification.
+// FuzzTierClassifier drives randomized (instance, constraint set) pairs
+// through automatic tier selection and the forced prover tier for every
+// query, requiring identical answer sets — the classifier may only ever
+// pick a tier whose answers match certification. The serving decision,
+// made from the view's constraint profile, must agree with
+// cqaplan.Classify over a freshly prepared rewriter on tier and reasons.
 func FuzzTierClassifier(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed)
@@ -320,19 +286,38 @@ func FuzzTierClassifier(f *testing.F) {
 		}
 		sys := NewSystem(db, cs)
 		defer sys.Close()
-		q := queries[rng.Intn(len(queries))]
-		auto, sa, err := sys.ConsistentQuery(q, Options{})
+		v, err := sys.currentView()
 		if err != nil {
-			t.Fatalf("seed %d %q: %v", seed, q, err)
+			t.Fatal(err)
 		}
-		prv, _, err := sys.ConsistentQuery(q, Options{Tier: TierForceProver})
-		if err != nil {
-			t.Fatalf("seed %d %q forced prover: %v", seed, q, err)
-		}
-		g, w := rowStrings(auto.Rows), rowStrings(prv.Rows)
-		if strings.Join(g, "|") != strings.Join(w, "|") {
-			t.Fatalf("seed %d %q: tier %q answers %v != prover %v (reasons %v)",
-				seed, q, sa.Strategy, g, w, sa.TierReasons)
+		rw := rewrite.Prepare(db, cs)
+		for _, q := range queries {
+			pq, err := sqlparse.ParseQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := v.snap.PlanQuery(pq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served, ref := tierDecision(v, plan, Options{}), cqaplan.Classify(rw, cs, plan)
+			if served.Tier != ref.Tier || fmt.Sprint(served.Reasons) != fmt.Sprint(ref.Reasons) {
+				t.Fatalf("seed %d %q: serving decision %s %v != Classify %s %v",
+					seed, q, served.Tier, served.ReasonStrings(), ref.Tier, ref.ReasonStrings())
+			}
+			auto, sa, err := sys.ConsistentQuery(q, Options{})
+			if err != nil {
+				t.Fatalf("seed %d %q: %v", seed, q, err)
+			}
+			prv, _, err := sys.ConsistentQuery(q, Options{Tier: TierForceProver})
+			if err != nil {
+				t.Fatalf("seed %d %q forced prover: %v", seed, q, err)
+			}
+			g, w := rowStrings(auto.Rows), rowStrings(prv.Rows)
+			if strings.Join(g, "|") != strings.Join(w, "|") {
+				t.Fatalf("seed %d %q: tier %q answers %v != prover %v (reasons %v)",
+					seed, q, sa.Strategy, g, w, sa.TierReasons)
+			}
 		}
 	})
 }

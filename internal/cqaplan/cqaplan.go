@@ -2,16 +2,19 @@
 // an incoming consistent query against the registered constraint set and
 // decides which of two execution tiers serves it.
 //
-//   - Rewrite tier: the query plus every constraint's residue compiles
-//     into one first-order plan whose direct evaluation returns exactly
-//     the consistent answers — zero per-candidate certification. Sound
-//     only for self-join-free SJD plans (no UNION, single-atom negative
-//     sides) whose relations are fully covered by unary/binary denial
-//     residues, with the Koutris–Wijsen-inspired guards below.
-//     Decision.Plan is the logical reference: a self-contained plan of
-//     residue anti-joins that evaluates without a serving view. The core
-//     executes those residues as conflict-membership probes against the
-//     view's hypergraph instead of re-joining each relation.
+//   - Rewrite tier: sound only for self-join-free SJD plans (no UNION,
+//     single-atom negative sides) whose relations are fully covered by
+//     unary/binary denial residues, with the Koutris–Wijsen-inspired
+//     guards below. On that class a tuple of a positive atom is in every
+//     repair exactly when it is in no hyperedge, so the core serves the
+//     query plan itself with a conflict filter over each positive atom —
+//     zero per-candidate certification. Decide makes this decision from a
+//     Profile of the constraint set, without compiling anything.
+//     Classify applies the same guards and also compiles Decision.Plan,
+//     the Arenas–Bertossi–Chomicki rewriting: a self-contained plan of
+//     residue anti-joins that evaluates without a serving view. It is the
+//     reference the differential tests and the benchmark's traced replay
+//     evaluate.
 //   - Prover tier: the hypergraph certification path, which serves every
 //     query the rewrite tier cannot take.
 //
@@ -27,6 +30,7 @@ package cqaplan
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"hippo/internal/constraint"
@@ -42,10 +46,11 @@ type Tier int
 const (
 	// TierProver is the hypergraph certification path (fallback).
 	TierProver Tier = iota
-	// TierHybrid is never produced: Classify returns only TierRewrite or
-	// TierProver. The constant stays so existing readers keep compiling.
+	// TierHybrid is never produced: Decide and Classify return only
+	// TierRewrite or TierProver. The constant stays so existing readers keep compiling.
 	TierHybrid
-	// TierRewrite answers from the compiled first-order rewriting alone.
+	// TierRewrite answers from the query plan under conflict filters,
+	// with no certification.
 	TierRewrite
 )
 
@@ -94,12 +99,11 @@ func (r Reason) String() string {
 }
 
 // Decision is the planner's verdict for one (query plan, constraint set)
-// pair. It is immutable once built: Plan is a logical tree that callers
-// rebind to their view, never mutate.
+// pair. It is immutable once built.
 type Decision struct {
 	Tier Tier
-	// Plan is the compiled rewriting (rewrite tier); nil for the prover
-	// tier.
+	// Plan is the compiled rewriting, set only by Classify for the rewrite
+	// tier; Decide leaves it nil.
 	Plan ra.Node
 	// Reasons records why the rewrite tier was ruled out (empty when it
 	// was chosen).
@@ -120,15 +124,55 @@ func (d *Decision) ReasonStrings() []string {
 	return out
 }
 
-// Classify decides the execution tier for plan under the given rewriter
-// (built from the same constraint set as cs). It never fails: anything it
-// cannot prove eligible becomes a prover-tier decision with reasons.
-func Classify(rw *rewrite.Rewriter, cs []constraint.Constraint, plan ra.Node) *Decision {
-	d := &Decision{Tier: TierProver}
-	if rw == nil {
-		d.Reasons = append(d.Reasons, Reason{Code: ReasonCompileFailed, Detail: "no rewriter"})
-		return d
+// Profile is what classification needs to know about a constraint set:
+// the key columns and constraint interactions per relation, the relations
+// some constraint mentions, and the relations carrying a constraint the
+// rewriting cannot express. It is immutable once built, so a serving view
+// carries the profile of the constraint set its hypergraph was built from.
+type Profile struct {
+	keys        map[string]map[string]bool
+	interacting map[string]bool
+	// uncovered holds the relations of constraints that do not lower to a
+	// unary or binary denial; the key "" (lowering failed, relations
+	// unknown) covers every relation.
+	uncovered   map[string]bool
+	constrained map[string]bool
+}
+
+// NewProfile profiles cs under the catalog's schemas.
+func NewProfile(cat constraint.Catalog, cs []constraint.Constraint) *Profile {
+	p := &Profile{
+		keys:        keyColumns(cs),
+		interacting: interactingRels(cs),
+		uncovered:   map[string]bool{},
+		constrained: map[string]bool{},
 	}
+	for _, c := range cs {
+		den, err := c.Denial(cat)
+		if err != nil {
+			p.uncovered[""] = true
+			continue
+		}
+		for _, a := range den.Atoms {
+			rel := strings.ToLower(a.Rel)
+			p.constrained[rel] = true
+			if den.Arity() > 2 {
+				p.uncovered[rel] = true
+			}
+		}
+	}
+	return p
+}
+
+// Constrained reports whether some constraint mentions rel (lowercased):
+// only such a relation's tuples can be vertices of a hyperedge.
+func (p *Profile) Constrained(rel string) bool { return p.constrained[rel] }
+
+// Decide decides the execution tier for plan under the profiled
+// constraint set. It never fails: anything it cannot prove eligible
+// becomes a prover-tier decision with reasons.
+func Decide(p *Profile, plan ra.Node) *Decision {
+	d := &Decision{Tier: TierProver}
 	if err := envelope.CheckQuery(plan); err != nil {
 		// The prover path will surface the same error; classification
 		// just routes it there.
@@ -145,22 +189,26 @@ func Classify(rw *rewrite.Rewriter, cs []constraint.Constraint, plan ra.Node) *D
 	// conservative: each names a shape for which the first-order
 	// rewriting is not known to be complete in general (Koutris &
 	// Wijsen), so we only claim the rewrite tier where the residue method
-	// is provably exact.
-	keys := keyColumns(cs)
-	for rel, n := range sh.relCount {
-		if n > 1 {
+	// is provably exact. Relations are visited in name order, so the
+	// reasons are the same on every run.
+	rels := make([]string, 0, len(sh.relCount))
+	for rel := range sh.relCount {
+		rels = append(rels, rel)
+	}
+	sort.Strings(rels)
+	for _, rel := range rels {
+		if n := sh.relCount[rel]; n > 1 {
 			d.Reasons = append(d.Reasons, Reason{Code: ReasonSelfJoin, Detail: fmt.Sprintf("%s occurs %d times", rel, n)})
 		}
 	}
-	if r, ok := keyConstant(sh, keys); ok {
+	if r, ok := keyConstant(sh, p.keys); ok {
 		d.Reasons = append(d.Reasons, r)
 	}
-	if r, ok := attackCycle(sh, keys); ok {
+	if r, ok := attackCycle(sh, p.keys); ok {
 		d.Reasons = append(d.Reasons, r)
 	}
-	interacting := interactingRels(cs)
-	for rel := range sh.relCount {
-		if interacting[rel] || interacting["*"] {
+	for _, rel := range rels {
+		if p.interacting[rel] || p.interacting["*"] {
 			d.Reasons = append(d.Reasons, Reason{Code: ReasonInteraction,
 				Detail: fmt.Sprintf("%s mixes unary and binary constraints", rel)})
 		}
@@ -171,25 +219,36 @@ func Classify(rw *rewrite.Rewriter, cs []constraint.Constraint, plan ra.Node) *D
 
 	// Coverage: the rewrite tier requires every scanned relation's
 	// constraints to be expressed as residues.
-	skipped := rw.SkippedRelations()
-	for rel := range sh.relCount {
-		if skipped[rel] || skipped[""] {
+	for _, rel := range rels {
+		if p.uncovered[rel] || p.uncovered[""] {
 			d.Reasons = append(d.Reasons, Reason{Code: ReasonUncovered, Detail: rel})
 		}
 	}
 	if sh.negComplex {
 		d.Reasons = append(d.Reasons, Reason{Code: ReasonNegativeJoin, Detail: "difference with a multi-atom right side"})
 	}
-	if len(d.Reasons) > 0 {
+	if len(d.Reasons) == 0 {
+		d.Tier = TierRewrite
+	}
+	return d
+}
+
+// Classify is Decide under the rewriter's own view of coverage (rw is
+// built from the same constraint set as cs), plus the compiled rewriting
+// for a rewrite-tier decision.
+func Classify(rw *rewrite.Rewriter, cs []constraint.Constraint, plan ra.Node) *Decision {
+	if rw == nil {
+		return &Decision{Tier: TierProver, Reasons: []Reason{{Code: ReasonCompileFailed, Detail: "no rewriter"}}}
+	}
+	d := Decide(&Profile{keys: keyColumns(cs), interacting: interactingRels(cs), uncovered: rw.SkippedRelations()}, plan)
+	if d.Tier != TierRewrite {
 		return d
 	}
 	compiled, err := rw.Rewrite(plan)
 	if err != nil {
-		d.Reasons = append(d.Reasons, Reason{Code: ReasonCompileFailed, Detail: err.Error()})
-		return d
+		return &Decision{Tier: TierProver, Reasons: []Reason{{Code: ReasonCompileFailed, Detail: err.Error()}}}
 	}
-	d.Tier = TierRewrite
-	d.Plan = distinctify(compiled)
+	d.Plan = Distinctify(compiled)
 	d.Residues = countResidues(d.Plan)
 	return d
 }
@@ -425,7 +484,8 @@ func addEdge(edges map[string]map[string]bool, from, to string) {
 	m[to] = true
 }
 
-// findCycle reports some atom on a directed cycle ("" when acyclic).
+// findCycle reports the first atom, in name order, from which a directed
+// cycle is reachable ("" when acyclic).
 func findCycle(edges map[string]map[string]bool) string {
 	const (
 		visiting = 1
@@ -449,7 +509,12 @@ func findCycle(edges map[string]map[string]bool) string {
 		state[n] = done
 		return false
 	}
+	starts := make([]string, 0, len(edges))
 	for n := range edges {
+		starts = append(starts, n)
+	}
+	sort.Strings(starts)
+	for _, n := range starts {
 		if state[n] == 0 && dfs(n) {
 			return "atoms " + n + "..."
 		}
@@ -482,30 +547,30 @@ func conjuncts(e ra.Expr) []ra.Expr {
 	return ra.Conjuncts(e)
 }
 
-// distinctify mirrors the envelope's multiplicity on a rewritten plan:
+// Distinctify mirrors the envelope's multiplicity on a rewrite-tier plan:
 // every projection becomes DISTINCT, exactly as Envelope marks them, so
 // rewrite-tier answers carry the same duplicates as prover-tier answers
 // (set operators already deduplicate on both paths).
-func distinctify(n ra.Node) ra.Node {
+func Distinctify(n ra.Node) ra.Node {
 	switch t := n.(type) {
 	case *ra.Project:
-		return &ra.Project{Child: distinctify(t.Child), Exprs: t.Exprs, Names: t.Names, Distinct: true}
+		return &ra.Project{Child: Distinctify(t.Child), Exprs: t.Exprs, Names: t.Names, Distinct: true}
 	case *ra.Select:
-		return &ra.Select{Child: distinctify(t.Child), Pred: t.Pred}
+		return &ra.Select{Child: Distinctify(t.Child), Pred: t.Pred}
 	case *ra.Product:
-		return &ra.Product{L: distinctify(t.L), R: distinctify(t.R)}
+		return &ra.Product{L: Distinctify(t.L), R: Distinctify(t.R)}
 	case *ra.Join:
-		return &ra.Join{L: distinctify(t.L), R: distinctify(t.R), Pred: t.Pred}
+		return &ra.Join{L: Distinctify(t.L), R: Distinctify(t.R), Pred: t.Pred}
 	case *ra.Diff:
-		return &ra.Diff{L: distinctify(t.L), R: distinctify(t.R)}
+		return &ra.Diff{L: Distinctify(t.L), R: Distinctify(t.R)}
 	case *ra.Intersect:
-		return &ra.Intersect{L: distinctify(t.L), R: distinctify(t.R)}
+		return &ra.Intersect{L: Distinctify(t.L), R: Distinctify(t.R)}
 	case *ra.DistinctNode:
-		return &ra.DistinctNode{Child: distinctify(t.Child)}
+		return &ra.DistinctNode{Child: Distinctify(t.Child)}
 	case *ra.AntiJoin:
 		// Residue anti-joins: the partner side is machinery, not a query
 		// atom — leave it untouched.
-		return &ra.AntiJoin{L: distinctify(t.L), R: t.R, Pred: t.Pred}
+		return &ra.AntiJoin{L: Distinctify(t.L), R: t.R, Pred: t.Pred}
 	default:
 		return n
 	}

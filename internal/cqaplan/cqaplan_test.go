@@ -1,6 +1,7 @@
 package cqaplan
 
 import (
+	"fmt"
 	"testing"
 
 	"hippo/internal/constraint"
@@ -89,7 +90,14 @@ func TestClassify(t *testing.T) {
 			if tc.extra != nil {
 				cs = append(cs, tc.extra(t)...)
 			}
-			d := Classify(rewrite.Prepare(db, cs), cs, planOf(t, db, tc.q))
+			plan := planOf(t, db, tc.q)
+			d := Classify(rewrite.Prepare(db, cs), cs, plan)
+			// The serving path decides from the constraint profile alone;
+			// it must reach the same tier for the same reasons.
+			if served := Decide(NewProfile(db, cs), plan); served.Tier != d.Tier ||
+				fmt.Sprint(served.Reasons) != fmt.Sprint(d.Reasons) {
+				t.Errorf("Decide = %v %v, Classify = %v %v", served.Tier, served.ReasonStrings(), d.Tier, d.ReasonStrings())
+			}
 			if d.Tier != TierRewrite && d.Tier != TierProver {
 				t.Fatalf("Classify returned tier %v; only rewrite and prover exist", d.Tier)
 			}

@@ -99,10 +99,8 @@ type RunStats struct {
 	CacheMiss  int64  `json:"cache_misses"`
 	TotalUS    int64  `json:"total_us"`
 	// Strategy is the planner tier that produced the answers ("rewrite"
-	// or "prover"); TierFallback reports a rewrite-tier run silently
-	// re-served by the prover.
-	Strategy     string `json:"strategy,omitempty"`
-	TierFallback bool   `json:"tier_fallback,omitempty"`
+	// or "prover").
+	Strategy string `json:"strategy,omitempty"`
 }
 
 // Stats is the server-level snapshot from /v1/stats.

@@ -50,10 +50,8 @@ type runStats struct {
 	CacheMiss  int64  `json:"cache_misses"`
 	TotalUS    int64  `json:"total_us"`
 	// Strategy is the planner tier that produced the answers ("rewrite"
-	// or "prover"); TierFallback reports a rewrite-tier run silently
-	// re-served by the prover.
-	Strategy     string `json:"strategy,omitempty"`
-	TierFallback bool   `json:"tier_fallback,omitempty"`
+	// or "prover").
+	Strategy string `json:"strategy,omitempty"`
 }
 
 type execResponse struct {
@@ -85,9 +83,8 @@ type statsResponse struct {
 	ViewsReclaimed int64  `json:"views_reclaimed"`
 	SlabsReclaimed int64  `json:"slabs_reclaimed"`
 	// Lifetime counts of consistent queries answered per planner tier.
-	TierRewrite   int64 `json:"tier_rewrite"`
-	TierProver    int64 `json:"tier_prover"`
-	TierFallbacks int64 `json:"tier_fallbacks"`
+	TierRewrite int64 `json:"tier_rewrite"`
+	TierProver  int64 `json:"tier_prover"`
 	// Maintenance plane: delta-queue overflows and the parked checkpoint
 	// error (empty when healthy; /health reports "degraded" while it is
 	// set).
@@ -418,7 +415,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.MaintenanceError = err.Error()
 	}
 	tc := s.db.TierCounts()
-	resp.TierRewrite, resp.TierProver, resp.TierFallbacks = tc.Rewrite, tc.Prover, tc.Fallbacks
+	resp.TierRewrite, resp.TierProver = tc.Rewrite, tc.Prover
 	if resp.Durable {
 		resp.WALBytes = sys.WALBytes()
 	}
@@ -483,13 +480,12 @@ func wireStats(st *hippo.Stats) *runStats {
 		return nil
 	}
 	return &runStats{
-		Epoch:        st.Epoch,
-		Candidates:   st.Candidates,
-		Answers:      st.Answers,
-		CacheHits:    st.CacheHits,
-		CacheMiss:    st.CacheMisses,
-		TotalUS:      st.Total.Microseconds(),
-		Strategy:     st.Strategy,
-		TierFallback: st.TierFallback,
+		Epoch:      st.Epoch,
+		Candidates: st.Candidates,
+		Answers:    st.Answers,
+		CacheHits:  st.CacheHits,
+		CacheMiss:  st.CacheMisses,
+		TotalUS:    st.Total.Microseconds(),
+		Strategy:   st.Strategy,
 	}
 }

@@ -148,7 +148,7 @@ func TestServerStressPrefixConsistency(t *testing.T) {
 	// Consistent-query readers. Odd readers pin the prover tier, so the
 	// verdict cache and its invalidation race with the writer; even
 	// readers take the tier the classifier picks for a key FD, the
-	// compiled rewrite.
+	// rewrite tier.
 	const cqReaders = 4
 	for r := 0; r < cqReaders; r++ {
 		wg.Add(1)
