@@ -14,7 +14,7 @@
 //	\cqp <select>               consistent answers pinned to the prover tier
 //	\cqr <select>               consistent answers, rewrite tier required (errors if ineligible)
 //	\rw <select>                consistent answers via query rewriting
-//	\maint                      maintenance stats (deltas, rebuilds, caches, tier counts)
+//	\maint                      maintenance stats (deltas, rebuilds, views, tier and probe counts)
 //	\repairs                    count repairs (small instances only)
 //	\load <file.sql>            execute semicolon-separated statements from a file
 //	\batch <file.sql>           group-commit a file: DML runs apply atomically
@@ -250,11 +250,9 @@ func execute(db *hippo.DB, out io.Writer, line string) bool {
 		}
 		fmt.Fprintf(out, "epoch=%d views-published=%d views-reclaimed=%d slabs-reclaimed=%d\n",
 			sys.Epoch(), m.ViewsPublished, m.ViewsReclaimed, m.SlabsReclaimed)
-		c := sys.CacheStats()
-		fmt.Fprintf(out, "verdict-cache: entries=%d hits=%d misses=%d stores=%d invalidated=%d evicted=%d resets=%d\n",
-			c.Entries, c.Hits, c.Misses, c.Stores, c.Invalidated, c.Evicted, c.Resets)
 		tc := db.TierCounts()
-		fmt.Fprintf(out, "tiers: rewrite=%d prover=%d\n", tc.Rewrite, tc.Prover)
+		fmt.Fprintf(out, "tiers: rewrite=%d prover=%d certified=%d decided=%d searched=%d\n",
+			tc.Rewrite, tc.Prover, tc.Certified, tc.Decided, tc.Certified-tc.Decided)
 	case "checkpoint":
 		t0 := time.Now()
 		if err := db.Checkpoint(); err != nil {
@@ -340,7 +338,7 @@ const helpText = `  SQL statements run directly (CREATE TABLE / INSERT / DELETE 
   \cqp <select>               consistent answers pinned to the prover tier
   \cqr <select>               consistent answers, rewrite tier required (errors if ineligible)
   \rw <select>                consistent answers via query rewriting
-  \maint                      maintenance stats (deltas, rebuilds, caches, tier counts)
+  \maint                      maintenance stats (deltas, rebuilds, views, tier and probe counts)
   \repairs                    count repairs (exponential; small data only)
   \load <file.sql>            run statements from a file
   \batch <file.sql>           group-commit a file (DML runs apply atomically)

@@ -308,12 +308,11 @@ func (db *DB) Analyze() (AnalysisReport, error) {
 // Option tunes ConsistentQuery.
 type Option func(*core.Options)
 
-// WithoutVerdictCache bypasses the component-scoped verdict cache: every
-// prover-tier candidate is re-certified from scratch (the
-// cold-certification baseline). It does not change which tier serves the
-// query; combine it with WithProverTier to measure the prover.
+// WithoutVerdictCache is a no-op: no verdict cache sits on the serving
+// path, so every prover-tier candidate is always certified against the
+// view the query runs on. It stays so existing callers keep compiling.
 func WithoutVerdictCache() Option {
-	return func(o *core.Options) { o.DisableVerdictCache = true }
+	return func(*core.Options) {}
 }
 
 // WithProverTier pins this query to the prover (certification) tier,

@@ -201,8 +201,8 @@ func E3TimeVsSize(sc Scale) (Table, error) {
 			"Hippo eval ms", "Hippo prover ms", "candidates", "answers"},
 		Notes: "Query: " + selectionQuery + ". All three agree on answers within the SJD class. " +
 			"Each time is the fastest of the repetitions; Hippo runs on the prover tier. " +
-			"Hippo ms over SQL ms is the prover tier's overhead at each size; bringing it " +
-			"near plain SQL is the open gap of ROADMAP item 1.",
+			"Hippo ms over SQL ms is the prover tier's overhead at each size: the envelope " +
+			"evaluation plus one lookup per atom, and a blocker search only for conflicted candidates.",
 	}
 	for _, n := range sc.Sizes {
 		sys, rep, err := empSystem(n, 0.02, 7)
@@ -395,8 +395,8 @@ func E9Overhead(sc Scale) (Table, error) {
 		Title:  "Overhead of consistent answering vs plain SQL",
 		Header: []string{"query", "n", "SQL ms", "Hippo ms", "ratio"},
 		Notes: "Hippo runs on the prover tier; each time is the fastest of the repetitions. " +
-			"The ratio is the prover tier's overhead over plain SQL for each query shape; " +
-			"bringing it near 1 is the open gap of ROADMAP item 1.",
+			"The ratio is the prover tier's overhead over plain SQL for each query shape: the " +
+			"envelope evaluation plus one lookup per atom, and a blocker search only for conflicted candidates.",
 	}
 	queries := []struct{ label, sql string }{
 		{"selection", selectionQuery},

@@ -77,7 +77,7 @@ func TestNaiveMembershipNullColumns(t *testing.T) {
 }
 
 // TestE6MembershipsAgree checks E6's two series against each other and
-// against the serving path's uncached prover tier, and that naive
+// against the serving path's prover tier, and that naive
 // membership issues exactly one query per check while indexed issues none.
 func TestE6MembershipsAgree(t *testing.T) {
 	sys, _, err := empSystem(300, 0.1, 5)
@@ -95,7 +95,7 @@ func TestE6MembershipsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
-		want, _, err := sys.ConsistentQuery(sql, core.Options{Tier: core.TierForceProver, DisableVerdictCache: true})
+		want, _, err := sys.ConsistentQuery(sql, core.Options{Tier: core.TierForceProver})
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}

@@ -9,9 +9,7 @@ import "hash/fnv"
 // components (no hyperedge crosses a component boundary), so the repairs
 // of the database are exactly the cross product of the per-component
 // repairs. Certification cost is therefore exponential only in the largest
-// component — never in the whole conflict set — and a component whose edge
-// set did not change certifies candidates exactly as before, which is what
-// the verdict cache exploits.
+// component — never in the whole conflict set.
 //
 // Components are labeled eagerly at mutation time (AddEdge / removeSlot
 // run under the core's write lock, so there is no concurrency here):
@@ -22,7 +20,9 @@ import "hash/fnv"
 // are small by the paper's locality premise, so this stays cheap — and the
 // component's fingerprint is rebuilt as the XOR of its edges' hashes, so
 // two components with the same edge set always agree on the fingerprint
-// regardless of mutation history.
+// regardless of mutation history. The serving path reads only component
+// ids (the prover groups its search by them); the fingerprints stay for
+// inspection and for the verdict-cache package's remaining readers.
 
 // ComponentRef identifies one connected component of the hypergraph: a
 // stable id plus a fingerprint of its exact edge set. The id survives
@@ -46,46 +46,6 @@ type compInfo struct {
 	fp    uint64
 	verts int
 	edges int
-}
-
-// ChangeLog accumulates, across a batch of hypergraph mutations, exactly
-// what a component-keyed verdict cache must invalidate: the ids of every
-// component whose edge set changed (including ids that vanished in merges
-// or splits) and the vertices of added edges (a previously conflict-free
-// tuple that gains an edge belongs to no pre-existing component id, so it
-// must be invalidated by identity instead).
-type ChangeLog struct {
-	Touched        map[uint64]struct{}
-	AddedEdgeVerts map[Vertex]struct{}
-}
-
-func newChangeLog() *ChangeLog {
-	return &ChangeLog{
-		Touched:        make(map[uint64]struct{}),
-		AddedEdgeVerts: make(map[Vertex]struct{}),
-	}
-}
-
-// BeginChangeLog starts recording component changes on this handle,
-// discarding any previous log. The log belongs to the mutating handle, not
-// the shared state: clones and snapshots never inherit it.
-func (h *Hypergraph) BeginChangeLog() { h.changes = newChangeLog() }
-
-// TakeChangeLog returns the accumulated change log and stops recording.
-// It returns an empty log if recording was never started.
-func (h *Hypergraph) TakeChangeLog() *ChangeLog {
-	log := h.changes
-	h.changes = nil
-	if log == nil {
-		log = newChangeLog()
-	}
-	return log
-}
-
-func (h *Hypergraph) logTouched(id uint64) {
-	if h.changes != nil {
-		h.changes.Touched[id] = struct{}{}
-	}
 }
 
 // ComponentOf returns the component containing v, or ok=false when v is
@@ -201,19 +161,12 @@ func (h *Hypergraph) compEdgeAdded(e Edge) {
 		keep = st.nextComp
 	}
 	for id := range oldIDs {
-		h.logTouched(id)
 		if id != keep {
 			delete(st.comps, id)
 		}
 	}
-	h.logTouched(keep)
 	verts, slots := st.compWalk(e.Verts[0])
 	st.setComponent(keep, verts, slots)
-	if h.changes != nil {
-		for _, v := range e.Verts {
-			h.changes.AddedEdgeVerts[v] = struct{}{}
-		}
-	}
 }
 
 // compEdgeRemoved maintains component labels after e was unlinked. Every
@@ -228,7 +181,6 @@ func (h *Hypergraph) compEdgeRemoved(e Edge) {
 	if !ok {
 		return
 	}
-	h.logTouched(old)
 	delete(st.comps, old)
 	relabeled := make(map[Vertex]bool)
 	first := true

@@ -132,9 +132,6 @@ type Hypergraph struct {
 	// shared marks st as referenced by a snapshot (or a COW clone);
 	// mutators copy the state before writing.
 	shared bool
-	// changes, when non-nil, records component-level mutation effects for
-	// delta-precise cache invalidation (see BeginChangeLog).
-	changes *ChangeLog
 }
 
 // NewHypergraph returns an empty hypergraph.

@@ -7,6 +7,14 @@ import (
 	"hippo/internal/engine"
 )
 
+// The tests in this file are the write patterns a cross-view verdict memo
+// would have to invalidate precisely: a repeat with no write, a membership
+// flip with no conflict change, a clean tuple drawn into a conflict, a
+// component losing an edge, and an update local to one component. No such
+// memo sits on the serving path; every run certifies against the view it
+// is served from, and these tests pin that each re-certification after a
+// write gives the right answers.
+
 // cacheSystem builds r(a,b) with FD a -> b over the given rows, plus an
 // empty helper table s(a,b).
 func cacheSystem(t *testing.T, rows string) *System {
@@ -37,24 +45,20 @@ func mustCQ(t *testing.T, sys *System, sql string, opts Options) (*engine.Result
 func TestVerdictCacheRepeatHits(t *testing.T) {
 	sys := cacheSystem(t, "(1,1), (1,2), (2,5)")
 	const q = "SELECT * FROM r"
-	_, st1 := mustCQ(t, sys, q, Options{Tier: TierForceProver})
-	if st1.CacheMisses == 0 || st1.CacheHits != 0 {
-		t.Fatalf("first run: hits=%d misses=%d, want cold misses only", st1.CacheHits, st1.CacheMisses)
-	}
+	first, st1 := mustCQ(t, sys, q, Options{Tier: TierForceProver})
 	res, st2 := mustCQ(t, sys, q, Options{Tier: TierForceProver})
-	if st2.CacheMisses != 0 || st2.CacheHits != st1.CacheMisses {
-		t.Fatalf("second run: hits=%d misses=%d, want %d pure hits", st2.CacheHits, st2.CacheMisses, st1.CacheMisses)
+	if len(first.Rows) != 1 || len(res.Rows) != 1 { // only (2,5) survives every repair
+		t.Fatalf("answers=%d then %d, want 1", len(first.Rows), len(res.Rows))
 	}
-	if len(res.Rows) != 1 { // only (2,5) survives every repair
-		t.Fatalf("answers=%d, want 1", len(res.Rows))
+	if st1.Candidates != 3 || st2.Candidates != 3 {
+		t.Fatalf("candidates=%d then %d, want 3 certified each run", st1.Candidates, st2.Candidates)
 	}
 }
 
-// TestVerdictCacheMembershipInvalidation is the pure-membership soundness
-// case: an insert into s changes no conflict (s is unconstrained, the
-// hypergraph is untouched, every component fingerprint is unchanged), yet
-// it must flip a cached difference-query verdict that resolved the
-// inserted tuple as absent.
+// TestVerdictCacheMembershipInvalidation is the pure-membership case: an
+// insert into s changes no conflict (s is unconstrained, the hypergraph
+// is untouched), yet it must flip the verdict of a difference-query
+// candidate whose negative atom was absent.
 func TestVerdictCacheMembershipInvalidation(t *testing.T) {
 	sys := cacheSystem(t, "(2,5)")
 	const q = "SELECT * FROM r EXCEPT SELECT * FROM s"
@@ -65,17 +69,15 @@ func TestVerdictCacheMembershipInvalidation(t *testing.T) {
 	mustExec(sys.DB(), "INSERT INTO s VALUES (2,5)")
 	res, st := mustCQ(t, sys, q, Options{Tier: TierForceProver})
 	if len(res.Rows) != 0 {
-		t.Fatalf("after insert into s: answers=%d, want 0 (stale cached verdict served)", len(res.Rows))
+		t.Fatalf("after insert into s: answers=%d, want 0 (stale verdict served)", len(res.Rows))
 	}
-	if st.CacheMisses == 0 {
-		t.Fatal("the affected candidate was not re-certified")
+	if st.ProverStats.Decided != 1 {
+		t.Fatalf("decided=%d, want 1: both atoms are conflict-free, the probe settles it", st.ProverStats.Decided)
 	}
 }
 
-// TestVerdictCacheCleanToConflicting covers the added-edge-vertex path: a
-// previously conflict-free tuple is drawn into a conflict by an insert of
-// a *different* tuple, so its cached verdict cannot be invalidated by the
-// delta's own atom key or by any pre-existing component id.
+// TestVerdictCacheCleanToConflicting: a previously conflict-free tuple is
+// drawn into a conflict by an insert of a *different* tuple.
 func TestVerdictCacheCleanToConflicting(t *testing.T) {
 	sys := cacheSystem(t, "(1,1), (1,2), (2,5)")
 	const q = "SELECT * FROM r"
@@ -91,7 +93,7 @@ func TestVerdictCacheCleanToConflicting(t *testing.T) {
 }
 
 // TestVerdictCacheComponentInvalidation: deleting one side of a conflict
-// touches the component, so the survivor's verdict flips to certified.
+// changes the component, so the survivor's verdict flips to certified.
 func TestVerdictCacheComponentInvalidation(t *testing.T) {
 	sys := cacheSystem(t, "(1,1), (1,2)")
 	const q = "SELECT * FROM r"
@@ -100,42 +102,33 @@ func TestVerdictCacheComponentInvalidation(t *testing.T) {
 		t.Fatalf("before: answers=%d, want 0", len(res.Rows))
 	}
 	mustExec(sys.DB(), "DELETE FROM r WHERE b = 2")
-	res, st := mustCQ(t, sys, q, Options{Tier: TierForceProver})
+	res, _ = mustCQ(t, sys, q, Options{Tier: TierForceProver})
 	if len(res.Rows) != 1 {
 		t.Fatalf("after delete: answers=%d, want 1", len(res.Rows))
-	}
-	if st.Maintenance.Cache.Invalidated == 0 {
-		t.Fatal("no cache invalidations recorded")
 	}
 }
 
 // TestVerdictCacheLocalizedInvalidation: an update in one conflict
-// component must not evict verdicts whose dependencies live in others.
+// component changes the verdicts there and no others.
 func TestVerdictCacheLocalizedInvalidation(t *testing.T) {
 	sys := cacheSystem(t, "(1,1), (1,2), (2,5), (2,6), (3,7)")
 	const q = "SELECT * FROM r"
-	_, st1 := mustCQ(t, sys, q, Options{Tier: TierForceProver})
-	cold := st1.CacheMisses
-	if cold != 5 {
-		t.Fatalf("cold misses=%d, want 5", cold)
+	res, st1 := mustCQ(t, sys, q, Options{Tier: TierForceProver})
+	if st1.Candidates != 5 || len(res.Rows) != 1 {
+		t.Fatalf("before: candidates=%d answers=%d, want 5 and 1", st1.Candidates, len(res.Rows))
 	}
-	// Touch only the a=1 component.
+	// Touch only the a=1 component; (3,7) stays the one certain answer.
 	mustExec(sys.DB(), "INSERT INTO r VALUES (1,3)")
-	_, st2 := mustCQ(t, sys, q, Options{Tier: TierForceProver})
-	// New candidate (1,3) plus re-certification of the a=1 pair; (2,5),
-	// (2,6), (3,7) must come from the cache.
-	if st2.CacheHits != 3 {
-		t.Fatalf("hits=%d, want 3 (untouched components re-certified?)", st2.CacheHits)
-	}
-	if st2.CacheMisses != 3 {
-		t.Fatalf("misses=%d, want 3", st2.CacheMisses)
+	res, st2 := mustCQ(t, sys, q, Options{Tier: TierForceProver})
+	if st2.Candidates != 6 || len(res.Rows) != 1 {
+		t.Fatalf("after: candidates=%d answers=%d, want 6 and 1", st2.Candidates, len(res.Rows))
 	}
 }
 
 // TestVerdictCacheAgreesWithUncached drives a small update stream and
-// asserts the cached and uncached paths agree on every query.
+// asserts both tier choices agree with the repair oracle on every query.
 func TestVerdictCacheAgreesWithUncached(t *testing.T) {
-	cached := cacheSystem(t, "(1,1), (1,2), (2,5), (3,7), (3,8)")
+	sys := cacheSystem(t, "(1,1), (1,2), (2,5), (3,7), (3,8)")
 	queries := []string{
 		"SELECT * FROM r",
 		"SELECT * FROM r WHERE b <= 5",
@@ -150,17 +143,12 @@ func TestVerdictCacheAgreesWithUncached(t *testing.T) {
 	}
 	check := func(stage string) {
 		for _, q := range queries {
-			want, _ := mustCQ(t, cached, q, Options{Tier: TierForceProver, DisableVerdictCache: true})
-			got, _ := mustCQ(t, cached, q, Options{Tier: TierForceProver})
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("%s %q: cached=%d uncached=%d answers",
-					stage, q, len(got.Rows), len(want.Rows))
-			}
+			assertMatchesOracle(t, sys, q, stage, Options{})
 		}
 	}
 	check("initial")
 	for _, u := range updates {
-		mustExec(cached.DB(), u)
+		mustExec(sys.DB(), u)
 		check(u)
 	}
 }

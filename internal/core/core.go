@@ -53,12 +53,6 @@ import (
 
 // Options tune a consistent-query run.
 type Options struct {
-	// DisableVerdictCache bypasses the per-candidate verdict memo for
-	// prover-tier runs: every candidate is re-certified from scratch. It
-	// is a differential-testing knob and the benchmark's
-	// cold-certification setting; it does not change which tier serves
-	// the query.
-	DisableVerdictCache bool
 	// Tier constrains the tiered answering planner: TierAuto (default)
 	// lets the classifier route eligible queries to the rewrite tier and
 	// the rest to the prover tier, TierForceProver pins the certification
@@ -70,14 +64,17 @@ type Options struct {
 // Stats reports one ConsistentQuery run, stage by stage (mirroring the
 // paper's Figure 1 components).
 type Stats struct {
-	Envelope    time.Duration // Enveloping: plan validation + rewrite
-	Evaluation  time.Duration // Evaluation of the envelope by the engine
-	ProverTime  time.Duration // Prover over all candidates
-	Total       time.Duration
-	Candidates  int   // tuples produced by the envelope
-	Answers     int   // consistent answers
-	CacheHits   int64 // candidates answered from the verdict cache
-	CacheMisses int64 // candidates certified and stored
+	Envelope   time.Duration // Enveloping: plan validation + rewrite
+	Evaluation time.Duration // Evaluation of the envelope by the engine
+	ProverTime time.Duration // Prover over all candidates
+	Total      time.Duration
+	Candidates int // tuples produced by the envelope
+	Answers    int // consistent answers
+	// CacheHits and CacheMisses are always 0: no verdict cache sits on the
+	// serving path (every candidate is certified against the view it runs
+	// on). The fields stay so existing readers of Stats keep compiling.
+	CacheHits   int64
+	CacheMisses int64
 	ProverStats prover.Stats
 	DetectStats conflict.DetectStats
 	GraphStats  conflict.Stats
@@ -129,9 +126,6 @@ type MaintenanceStats struct {
 	// PendingOverflows counts delta-queue overflows that discarded the
 	// queue and forced a full re-detection (see maxPendingDeltas).
 	PendingOverflows int64
-	// Cache is the verdict cache's lifetime counters, snapshotted at the
-	// view's publication (System.CacheStats reads them live).
-	Cache verdictcache.Stats
 }
 
 // Sub returns the counter-wise difference m - o.
@@ -143,7 +137,6 @@ func (m MaintenanceStats) Sub(o MaintenanceStats) MaintenanceStats {
 		ViewsReclaimed:   m.ViewsReclaimed - o.ViewsReclaimed,
 		SlabsReclaimed:   m.SlabsReclaimed - o.SlabsReclaimed,
 		PendingOverflows: m.PendingOverflows - o.PendingOverflows,
-		Cache:            m.Cache.Sub(o.Cache),
 	}
 }
 
@@ -207,13 +200,9 @@ type System struct {
 	pins    map[uint64]int
 	retired []retiredView
 
-	// vcache memoizes certification verdicts across published views; it
-	// is invalidated delta-precisely at each publication and cleared on
-	// full re-detections. Internally synchronized.
-	vcache *verdictcache.Cache
-
-	// tierRewrite and tierProver back TierCounts.
+	// tierRewrite, tierProver, certified and decided back TierCounts.
 	tierRewrite, tierProver atomic.Int64
+	certified, decided      atomic.Int64
 
 	// store is the WAL/checkpoint store of a durable system (nil when
 	// in-memory); ckptMu serializes checkpoints and ckptBytes is the
@@ -247,7 +236,6 @@ func NewSystem(db *engine.DB, cs []constraint.Constraint) *System {
 		db:          db,
 		constraints: cs,
 		pins:        make(map[uint64]int),
-		vcache:      verdictcache.New(0),
 	}
 	s.stale.Store(true)
 	db.AddListener(s)
@@ -467,13 +455,13 @@ func (s *System) Maintenance() MaintenanceStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	m := s.maint
-	m.Cache = s.vcache.Stats()
 	m.PendingOverflows = s.overflows.Load()
 	return m
 }
 
-// CacheStats reports the verdict cache's live counters.
-func (s *System) CacheStats() verdictcache.Stats { return s.vcache.Stats() }
+// CacheStats returns zero counters: no verdict cache sits on the serving
+// path. It stays so existing readers keep compiling.
+func (s *System) CacheStats() verdictcache.Stats { return verdictcache.Stats{} }
 
 // Epoch returns the epoch of the most recently published query view (0
 // before the first publication).
@@ -528,21 +516,11 @@ func (s *System) refreshViewLocked() (*queryView, error) {
 	s.pending = nil
 	full := !s.analyzed || s.needFull
 	s.qmu.Unlock()
-	var (
-		err        error
-		cacheReset = full
-		log        *conflict.ChangeLog
-	)
+	var err error
 	if full {
 		err = s.analyzeFullFrozen()
 	} else if len(pending) > 0 {
-		hgBefore := s.hg
-		hgBefore.BeginChangeLog()
 		err = s.applyDeltasFrozen(pending)
-		log = hgBefore.TakeChangeLog()
-		if s.hg != hgBefore {
-			cacheReset = true // probe failure fell back to a full rebuild
-		}
 	}
 	if err != nil {
 		release()
@@ -557,21 +535,6 @@ func (s *System) refreshViewLocked() (*queryView, error) {
 	snap := s.db.SnapshotFrozen()
 	hgSnap := s.hg.Snapshot()
 	s.epoch++
-	// Carry the verdict cache into the new epoch: a full rebuild discards
-	// it wholesale (component identities restart), a delta drain drops
-	// exactly the entries whose dependencies the deltas touched.
-	if cacheReset {
-		s.vcache.Reset(s.epoch)
-	} else if log != nil {
-		touched := make([]uint64, 0, len(log.Touched))
-		for id := range log.Touched {
-			touched = append(touched, id)
-		}
-		s.vcache.Advance(s.epoch, s.cacheInvalidationsFrozen(pending, log), touched)
-	} else {
-		s.vcache.Advance(s.epoch, nil, nil)
-	}
-	s.maint.Cache = s.vcache.Stats()
 	s.maint.ViewsPublished++
 	s.maint.PendingOverflows = s.overflows.Load()
 	v := &queryView{
@@ -591,31 +554,6 @@ func (s *System) refreshViewLocked() (*queryView, error) {
 	s.stale.Store(false)
 	release()
 	return v, nil
-}
-
-// cacheInvalidationsFrozen derives the dependency atom keys a delta drain
-// invalidates: the inserted/deleted tuples themselves (their membership
-// status flipped) plus the tuples of every vertex on an added edge (a
-// previously conflict-free tuple drawn into a conflict belongs to no
-// component id any cache entry could reference). The caller holds mu and
-// the engine write freeze, so row lookups read a consistent cut; a vertex
-// deleted later in the same batch is skipped — its own delete delta
-// already invalidates it.
-func (s *System) cacheInvalidationsFrozen(pending []conflict.Delta, log *conflict.ChangeLog) []string {
-	atoms := make([]string, 0, len(pending)+len(log.AddedEdgeVerts))
-	for _, d := range pending {
-		atoms = append(atoms, prover.DepAtomKey(d.Table, d.Change.Tuple))
-	}
-	for v := range log.AddedEdgeVerts {
-		rel, err := s.db.Relation(v.Rel)
-		if err != nil {
-			continue
-		}
-		if row, ok := rel.Row(v.Row); ok {
-			atoms = append(atoms, prover.DepAtomKey(v.Rel, row))
-		}
-	}
-	return atoms
 }
 
 // applyDeltasFrozen folds queued deltas into the hypergraph; a probe
@@ -826,7 +764,7 @@ func (s *System) runQueryView(ctx context.Context, v *queryView, q *sqlparse.Que
 
 		// Evaluation + Prover: envelope rows stream straight into the
 		// certification workers, so evaluation and proving overlap.
-		answers, err = s.certifyStreaming(ctx, v, plan, env, opts, stats)
+		answers, err = s.certifyStreaming(ctx, v, plan, env, stats)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -851,48 +789,6 @@ func (s *System) runQueryView(ctx context.Context, v *queryView, q *sqlparse.Que
 	return answers, stats, nil
 }
 
-// certConfig is a run's verdict-cache wiring.
-type certConfig struct {
-	useCache    bool
-	querySig    string
-	compResolve verdictcache.ComponentResolver
-}
-
-// certConfig wires the verdict cache: verdicts hit the cache first
-// (unless the run measures uncached certification), and misses are
-// certified with dependency tracking and stored for later views. The
-// cache keys verdicts on the formatted query plan.
-func (s *System) certConfig(v *queryView, plan ra.Node, opts Options) certConfig {
-	if opts.DisableVerdictCache {
-		return certConfig{}
-	}
-	return certConfig{
-		useCache:    true,
-		querySig:    verdictcache.QuerySignature(ra.Format(plan)),
-		compResolve: v.hg.Graph().Component,
-	}
-}
-
-// certifyOne decides one candidate: verdict cache first when enabled,
-// full certification otherwise.
-func (s *System) certifyOne(p *prover.Prover, cfg certConfig, v *queryView, plan ra.Node, row value.Tuple, hits, misses *atomic.Int64) (bool, error) {
-	if cfg.useCache {
-		key := verdictcache.Key(cfg.querySig, row.Key())
-		if verdict, ok := s.vcache.Lookup(key, v.epoch, cfg.compResolve); ok {
-			hits.Add(1)
-			return verdict, nil
-		}
-		misses.Add(1)
-		ok, deps, err := p.CertifyAnswer(plan, row)
-		if err != nil {
-			return false, err
-		}
-		s.vcache.Store(key, v.epoch, ok, deps.Atoms, deps.Comps)
-		return ok, nil
-	}
-	return p.IsConsistentAnswer(plan, row)
-}
-
 // firstCertErr selects the error a certification run reports, from the
 // evaluation error plus the per-worker errors. A non-cancellation failure
 // wins: a worker error cancels the shared context, so cancellation echoes
@@ -914,25 +810,35 @@ func firstCertErr(evalErr error, errs []error) error {
 	return first
 }
 
-// candItem is one candidate flowing through the streaming pipeline. The
-// producer allocates it, exactly one worker writes keep, and the producer
-// goroutine reads it after the workers are joined.
-type candItem struct {
-	row  value.Tuple
-	keep bool
+// certBatchSize is how many candidates the producer hands a worker at
+// once: large enough that the channel send and the batch allocation
+// vanish per candidate, small enough that both workers start early.
+const certBatchSize = 256
+
+// certBatch is one hand-off of the streaming pipeline. The producer fills
+// rows, exactly one worker writes keep, and the producer reads keep after
+// the workers are joined.
+type certBatch struct {
+	rows []value.Tuple
+	keep []bool
 }
 
 // certifyStreaming evaluates the envelope through the cost-based planner
 // as a pull iterator and certifies candidates as they are produced: the
 // envelope evaluation and the prover overlap instead of running in
-// sequence, and the candidate set is never the only thing the run holds
-// materialized. Worker errors cancel the iterator tree via context, and
+// sequence. The plan is compiled once (prover.Compile); each worker
+// certifies whole batches with its own prover, so a candidate costs one
+// Kleene probe and, only when a conflicted tuple leaves it undecided, a
+// blocker search. Worker errors cancel the iterator tree via context, and
 // the pipeline's context descends from the caller's, so an outside
 // deadline or cancellation kills evaluation and certification together;
 // answers keep candidate production order, matching the sequential run.
-func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env ra.Node, opts Options, stats *Stats) (*engine.Result, error) {
+func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env ra.Node, stats *Stats) (*engine.Result, error) {
 	t0 := time.Now()
-	cfg := s.certConfig(v, plan, opts)
+	tpl, err := prover.Compile(plan)
+	if err != nil {
+		return nil, err
+	}
 	phys := engine.Optimize(env)
 	stats.JoinOrder = planLeafOrder(phys)
 
@@ -946,10 +852,9 @@ func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env r
 		workers = 1
 	}
 	stats.Workers = workers
-	queue := make(chan *candItem, workers*4)
+	queue := make(chan *certBatch, workers*2)
 	provers := make([]*prover.Prover, workers)
 	errs := make([]error, workers)
-	var cacheHits, cacheMisses atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -958,7 +863,7 @@ func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env r
 		wg.Add(1)
 		go func(w int, p *prover.Prover) {
 			defer wg.Done()
-			for item := range queue {
+			for b := range queue {
 				if failed.Load() {
 					continue // drain so the producer never blocks
 				}
@@ -967,20 +872,33 @@ func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env r
 					failed.Store(true)
 					continue
 				}
-				ok, err := s.certifyOne(p, cfg, v, plan, item.row, &cacheHits, &cacheMisses)
-				if err != nil {
-					errs[w] = err
-					failed.Store(true)
-					cancel()
-					continue
+				for i, row := range b.rows {
+					if failed.Load() {
+						break
+					}
+					ok, err := p.Certify(tpl, row)
+					if err != nil {
+						errs[w] = err
+						failed.Store(true)
+						cancel()
+						break
+					}
+					b.keep[i] = ok
 				}
-				item.keep = ok
 			}
 		}(w, p)
 	}
 
+	var batches []*certBatch
+	var cur *certBatch
+	flush := func() {
+		if cur != nil {
+			queue <- cur
+			cur = nil
+		}
+	}
+	candidates := 0
 	it, err := v.snap.OpenPlan(ctx, phys)
-	var items []*candItem
 	var evalErr error
 	if err != nil {
 		evalErr = err
@@ -994,28 +912,43 @@ func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env r
 			if !ok {
 				break
 			}
-			item := &candItem{row: row}
-			items = append(items, item)
-			queue <- item
+			if cur == nil {
+				cur = &certBatch{rows: make([]value.Tuple, 0, certBatchSize), keep: make([]bool, certBatchSize)}
+				batches = append(batches, cur)
+			}
+			cur.rows = append(cur.rows, row)
+			candidates++
+			if len(cur.rows) == certBatchSize {
+				flush()
+			}
 		}
 		if cerr := it.Close(); cerr != nil && evalErr == nil {
 			evalErr = cerr
 		}
 	}
+	flush()
 	close(queue)
 	wg.Wait()
 
-	stats.CacheHits = cacheHits.Load()
-	stats.CacheMisses = cacheMisses.Load()
-	stats.Candidates = len(items)
+	stats.Candidates = candidates
 	stats.PeakIntermediate = es.PeakIntermediate()
 	if err := firstCertErr(evalErr, errs); err != nil {
 		return nil, err
 	}
-	answers := &engine.Result{Schema: plan.Schema()}
-	for _, item := range items {
-		if item.keep {
-			answers.Rows = append(answers.Rows, item.row)
+	kept := 0
+	for _, b := range batches {
+		for _, k := range b.keep[:len(b.rows)] {
+			if k {
+				kept++
+			}
+		}
+	}
+	answers := &engine.Result{Schema: plan.Schema(), Rows: make([]value.Tuple, 0, kept)}
+	for _, b := range batches {
+		for i, row := range b.rows {
+			if b.keep[i] {
+				answers.Rows = append(answers.Rows, row)
+			}
 		}
 	}
 	// Evaluation and proving overlap in this path; both report the
@@ -1108,9 +1041,8 @@ func FormatStats(st *Stats) string {
 			"candidates=%d answers=%d workers=%d epoch=%d\n"+
 			"planner: join-order=%s peak-intermediate-rows=%d\n"+
 			"envelope=%v evaluation=%v prover=%v total=%v\n"+
-			"membership-checks=%d disjuncts=%d blocker-choices=%d\n"+
+			"prover: decided=%d searched=%d membership-checks=%d disjuncts=%d blocker-choices=%d\n"+
 			"hypergraph: edges=%d conflicting-tuples=%d max-degree=%d components=%d max-component=%d\n"+
-			"verdict-cache: hits=%d misses=%d entries=%d invalidated=%d\n"+
 			"maintenance: deltas=%d edges+%d edges-%d full-rebuilds=%d overflows=%d\n"+
 			"snapshots: published=%d reclaimed=%d slabs-reclaimed=%d",
 		st.Strategy, st.Classify, reasons,
@@ -1118,12 +1050,11 @@ func FormatStats(st *Stats) string {
 		st.Candidates, st.Answers, st.Workers, st.Epoch,
 		order, st.PeakIntermediate,
 		st.Envelope, st.Evaluation, st.ProverTime, st.Total,
+		st.ProverStats.Decided, st.ProverStats.TuplesChecked-st.ProverStats.Decided,
 		st.ProverStats.MembershipChecks, st.ProverStats.Disjuncts,
 		st.ProverStats.BlockerChoices,
 		st.GraphStats.Edges, st.GraphStats.ConflictingVertices, st.GraphStats.MaxDegree,
 		st.GraphStats.Components, st.GraphStats.MaxComponent,
-		st.CacheHits, st.CacheMisses,
-		st.Maintenance.Cache.Entries, st.Maintenance.Cache.Invalidated,
 		st.Maintenance.DeltasApplied, st.Maintenance.EdgesAdded,
 		st.Maintenance.EdgesRemoved, st.Maintenance.FullRebuilds,
 		st.Maintenance.PendingOverflows,

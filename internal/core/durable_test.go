@@ -264,8 +264,8 @@ func refIndex(ops []scriptOp, applied int) int {
 // TestRecoveryRolledBackBatchIsInvisible pins the rollback contract the
 // WAL exposes: a batch that fails mid-way — after real inserts AND a real
 // delete whose rollback path runs storage.Resurrect — must emit zero WAL
-// records, zero change-feed deltas, and zero verdict-cache invalidations,
-// and must not survive a restart.
+// records and zero change-feed deltas, must leave the consistent answers
+// unchanged, and must not survive a restart.
 func TestRecoveryRolledBackBatchIsInvisible(t *testing.T) {
 	dir := t.TempDir()
 	sys, err := OpenDurable(DurableOptions{Dir: dir, CheckpointBytes: -1})
@@ -291,7 +291,6 @@ func TestRecoveryRolledBackBatchIsInvisible(t *testing.T) {
 
 	walBefore := sys.WALBytes()
 	maintBefore := sys.Maintenance()
-	cacheBefore := sys.CacheStats()
 
 	_, err = db.ExecBatch([]string{
 		"INSERT INTO emp VALUES (9,900)",
@@ -316,13 +315,6 @@ func TestRecoveryRolledBackBatchIsInvisible(t *testing.T) {
 	m := sys.Maintenance().Sub(maintBefore)
 	if m.DeltasApplied != 0 {
 		t.Fatalf("rolled-back batch leaked %d deltas into the hypergraph", m.DeltasApplied)
-	}
-	c := sys.CacheStats().Sub(cacheBefore)
-	if c.Invalidated != 0 {
-		t.Fatalf("rolled-back batch invalidated %d verdict-cache entries", c.Invalidated)
-	}
-	if c.Hits == 0 {
-		t.Fatal("post-rollback query should have been served from the verdict cache")
 	}
 	// The resurrected row is still there, under its original RowID.
 	tab, err := db.Table("emp")

@@ -45,8 +45,8 @@ func tupleStrings(rows []value.Tuple) []string {
 //
 //   - on instances small enough to enumerate, the consistent answers of
 //     every query shape equal the independent subset-search oracle's;
-//   - the verdict cache is hit/miss-sound: an immediate re-run misses
-//     nothing and returns the same answers;
+//   - an immediate re-run against the same view returns the same
+//     answers;
 //
 // and at the end that every change was folded in incrementally (one full
 // rebuild: the initial analysis).
@@ -110,18 +110,11 @@ func TestIncrementalDifferentialSJUD(t *testing.T) {
 						}
 					}
 
-					// Hit/miss soundness: the immediate re-run is served
-					// against the same view with no intervening writes, so
-					// every candidate must hit and the answers must repeat.
-					ans2, st2 := answersOf(t, sys, q, Options{})
+					// The immediate re-run is served against the same view
+					// with no intervening writes, so the answers must repeat.
+					ans2, _ := answersOf(t, sys, q, Options{})
 					if d := diffStrings(ans, ans2); d != "" {
-						t.Fatalf("step %d, %q: cached re-run changed answers: %s", step, q, d)
-					}
-					if st2.CacheMisses != 0 {
-						t.Fatalf("step %d, %q: re-run missed %d verdicts, want pure hits", step, q, st2.CacheMisses)
-					}
-					if st2.Candidates > 0 && st2.CacheHits != int64(st2.Candidates) {
-						t.Fatalf("step %d, %q: re-run hit %d of %d candidates", step, q, st2.CacheHits, st2.Candidates)
+						t.Fatalf("step %d, %q: re-run changed answers: %s", step, q, d)
 					}
 				}
 			}

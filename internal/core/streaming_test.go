@@ -13,7 +13,7 @@ import (
 // Differential property: the streaming certification pipeline (cost-based
 // planner + overlapped prover pool) and the tier the classifier picks must
 // both match the repair-enumeration oracle on randomized instances, with
-// and without interleaved updates flowing through the verdict-cache path.
+// and without interleaved updates flowing through incremental maintenance.
 
 // streamingQueries is the SJUD battery used by every differential test
 // below; join shapes exercise the planner's Product→Join rewrite.
@@ -98,15 +98,16 @@ func TestStreamingMatchesOracleRandomized(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesOracleNoCache repeats the property with the
-// verdict cache disabled, so every certification hits the prover.
+// TestStreamingMatchesOracleNoCache repeats the property with the prover
+// tier pinned, so every candidate is certified (no verdict cache exists on
+// the serving path; the name records the setting it once pinned).
 func TestStreamingMatchesOracleNoCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 5; trial++ {
 		s := randomJoinSystem(rng, 8)
 		for _, q := range streamingQueries {
 			assertMatchesOracle(t, s, q, fmt.Sprintf("trial %d", trial),
-				Options{Tier: TierForceProver, DisableVerdictCache: true})
+				Options{Tier: TierForceProver})
 		}
 		s.Close()
 	}
@@ -114,7 +115,8 @@ func TestStreamingMatchesOracleNoCache(t *testing.T) {
 
 // TestStreamingUnderInterleavedUpdates: both tier choices stay
 // oracle-correct while inserts and deletes flow through incremental
-// maintenance and the verdict-cache invalidation path between queries.
+// maintenance between queries, and every re-certification after a write
+// matches the oracle.
 func TestStreamingUnderInterleavedUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	// Start r empty: every live row then arrives through the update path,
@@ -149,13 +151,8 @@ func TestStreamingUnderInterleavedUpdates(t *testing.T) {
 		if step%checkEvery != 0 {
 			continue
 		}
-		// Default Options: verdict cache on, so repeated checkpoints walk
-		// the store/invalidate path.
 		for _, q := range streamingQueries {
 			assertMatchesOracle(t, s, q, fmt.Sprintf("step %d", step), Options{})
 		}
-	}
-	if c := s.CacheStats(); c.Stores == 0 {
-		t.Error("workload never exercised the verdict cache store path")
 	}
 }

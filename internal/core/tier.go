@@ -50,11 +50,20 @@ type TierCounters struct {
 	// instead of being re-served. The field stays so existing readers of
 	// TierCounters keep compiling.
 	Fallbacks int64
+	// Certified counts the prover tier's candidates; Decided counts those
+	// the Kleene probe settled without a blocker search.
+	Certified int64
+	Decided   int64
 }
 
 // TierCounts reports the system's lifetime per-tier counters.
 func (s *System) TierCounts() TierCounters {
-	return TierCounters{Rewrite: s.tierRewrite.Load(), Prover: s.tierProver.Load()}
+	return TierCounters{
+		Rewrite:   s.tierRewrite.Load(),
+		Prover:    s.tierProver.Load(),
+		Certified: s.certified.Load(),
+		Decided:   s.decided.Load(),
+	}
 }
 
 // tierDecision classifies the plan against the view's constraint profile.
@@ -251,6 +260,8 @@ func (s *System) noteTier(stats *Stats) {
 		s.tierRewrite.Add(1)
 	} else {
 		s.tierProver.Add(1)
+		s.certified.Add(stats.ProverStats.TuplesChecked)
+		s.decided.Add(stats.ProverStats.Decided)
 	}
 	stats.Tiers = s.TierCounts()
 }

@@ -95,9 +95,10 @@ type RunStats struct {
 	Epoch      uint64 `json:"epoch"`
 	Candidates int    `json:"candidates"`
 	Answers    int    `json:"answers"`
-	CacheHits  int64  `json:"cache_hits"`
-	CacheMiss  int64  `json:"cache_misses"`
-	TotalUS    int64  `json:"total_us"`
+	// Decided counts the candidates the prover's Kleene probe settled
+	// without a blocker search.
+	Decided int64 `json:"decided"`
+	TotalUS int64 `json:"total_us"`
 	// Strategy is the planner tier that produced the answers ("rewrite"
 	// or "prover").
 	Strategy string `json:"strategy,omitempty"`
@@ -116,7 +117,13 @@ type Stats struct {
 	ViewsPublished int64  `json:"views_published"`
 	ViewsReclaimed int64  `json:"views_reclaimed"`
 	SlabsReclaimed int64  `json:"slabs_reclaimed"`
-	Version        string `json:"version"`
+	// Lifetime counts of consistent queries per planner tier, prover-tier
+	// candidates, and those the Kleene probe settled without a search.
+	TierRewrite int64  `json:"tier_rewrite"`
+	TierProver  int64  `json:"tier_prover"`
+	Certified   int64  `json:"certified"`
+	Decided     int64  `json:"decided"`
+	Version     string `json:"version"`
 }
 
 // QueryOpts tune one query call.

@@ -126,23 +126,22 @@ func TestDifferentialFastPathVsOracle(t *testing.T) {
 				t.Fatalf("instance %d query %q:\nfast path: %s\noracle:    %s\nconstraints: %v",
 					instances, q, tupleSet(got.Rows), tupleSet(want), cs)
 			}
-			// Cached-path coverage: the first run stored verdicts in the
-			// component-scoped cache; a repeat serves from it and must
-			// agree, as must an explicitly uncached run.
-			cachedAgain, st, err := h.ConsistentQuery(q)
+			// A repeat against the same view must agree, as must a run
+			// pinned to the prover tier.
+			again, _, err := h.ConsistentQuery(q)
 			if err != nil {
-				t.Fatalf("cached repeat %q: %v", q, err)
+				t.Fatalf("repeat %q: %v", q, err)
 			}
-			if tupleSet(cachedAgain.Rows) != tupleSet(want) {
-				t.Fatalf("instance %d query %q: cached repeat disagrees (hits=%d):\ncached: %s\noracle: %s",
-					instances, q, st.CacheHits, tupleSet(cachedAgain.Rows), tupleSet(want))
+			if tupleSet(again.Rows) != tupleSet(want) {
+				t.Fatalf("instance %d query %q: repeat disagrees:\nrepeat: %s\noracle: %s",
+					instances, q, tupleSet(again.Rows), tupleSet(want))
 			}
-			uncached, _, err := h.ConsistentQuery(q, hippo.WithProverTier(), hippo.WithoutVerdictCache())
+			pinned, _, err := h.ConsistentQuery(q, hippo.WithProverTier())
 			if err != nil {
-				t.Fatalf("uncached %q: %v", q, err)
+				t.Fatalf("prover tier %q: %v", q, err)
 			}
-			if tupleSet(uncached.Rows) != tupleSet(want) {
-				t.Fatalf("instance %d query %q: uncached path disagrees with oracle", instances, q)
+			if tupleSet(pinned.Rows) != tupleSet(want) {
+				t.Fatalf("instance %d query %q: prover tier disagrees with oracle", instances, q)
 			}
 			enum, err := h.OracleConsistentQuery(q)
 			if err == nil && tupleSet(enum) != tupleSet(want) {
@@ -158,13 +157,13 @@ func TestDifferentialFastPathVsOracle(t *testing.T) {
 	t.Logf("compared %d instances (%d attempts)", instances, attempts)
 }
 
-// TestDifferentialCachedPathUnderUpdates stresses the verdict cache's
-// delta invalidation: random instances receive interleaved single-row
-// updates (including on the unconstrained s, which changes membership
-// without touching the hypergraph), and after every round the cached fast
-// path, the uncached path, and a freshly built brute-force oracle must
-// agree on every query. A stale cache entry served after an update shows
-// up as a three-way disagreement.
+// TestDifferentialCachedPathUnderUpdates stresses re-certification after
+// writes: random instances receive interleaved single-row updates
+// (including on the unconstrained s, which changes membership without
+// touching the hypergraph), and after every round the default path, the
+// prover tier, and a freshly built brute-force oracle must agree on every
+// query. A verdict stale after an update shows up as a three-way
+// disagreement.
 func TestDifferentialCachedPathUnderUpdates(t *testing.T) {
 	const wantInstances = 30
 	rng := rand.New(rand.NewSource(20260730))
@@ -216,17 +215,17 @@ func TestDifferentialCachedPathUnderUpdates(t *testing.T) {
 				if err != nil {
 					t.Fatalf("oracle %q: %v", q, err)
 				}
-				cached, _, err := h.ConsistentQuery(q)
+				auto, _, err := h.ConsistentQuery(q)
 				if err != nil {
 					continue // outside Hippo's class for this constraint set
 				}
-				uncached, _, err := h.ConsistentQuery(q, hippo.WithProverTier(), hippo.WithoutVerdictCache())
+				pinned, _, err := h.ConsistentQuery(q, hippo.WithProverTier())
 				if err != nil {
-					t.Fatalf("uncached %q: %v", q, err)
+					t.Fatalf("prover tier %q: %v", q, err)
 				}
-				if tupleSet(cached.Rows) != tupleSet(want) || tupleSet(uncached.Rows) != tupleSet(want) {
-					t.Fatalf("instance %d round %d query %q:\ncached:   %s\nuncached: %s\noracle:   %s\nconstraints: %v",
-						instances, round, q, tupleSet(cached.Rows), tupleSet(uncached.Rows), tupleSet(want), cs)
+				if tupleSet(auto.Rows) != tupleSet(want) || tupleSet(pinned.Rows) != tupleSet(want) {
+					t.Fatalf("instance %d round %d query %q:\ndefault: %s\nprover:  %s\noracle:  %s\nconstraints: %v",
+						instances, round, q, tupleSet(auto.Rows), tupleSet(pinned.Rows), tupleSet(want), cs)
 				}
 				compared = true
 			}

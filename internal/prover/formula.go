@@ -9,6 +9,13 @@
 // formula is satisfied by no repair, which the Prover decides disjunct by
 // disjunct over the formula's DNF with a blocking-edge search on the
 // hypergraph (see Prover.IsConsistent).
+//
+// The serving path never builds that formula per candidate: Compile turns
+// the plan once into a Template, Prover.Decide settles a candidate by a
+// three-valued probe of its atoms, and only an undecided candidate runs
+// the blocking-edge search, over the template's residual (see
+// compile.go). BuildFormula and IsConsistentAnswer remain as the
+// reference the compiled path is tested against and for E6's baselines.
 package prover
 
 import (

@@ -39,6 +39,9 @@ type Stats struct {
 	BlockerChoices   int64 // blocking-edge assignments explored
 	Pruned           int64 // DFS branches cut by early independence checks
 	Components       int64 // per-component sub-searches solved
+	// Decided counts the candidates the Kleene probe settled without a
+	// blocker search (see Certify); TuplesChecked - Decided were searched.
+	Decided int64
 }
 
 // Add accumulates o into s; the core uses it to merge per-worker counters
@@ -50,10 +53,12 @@ func (s *Stats) Add(o Stats) {
 	s.BlockerChoices += o.BlockerChoices
 	s.Pruned += o.Pruned
 	s.Components += o.Components
+	s.Decided += o.Decided
 }
 
 // Deps lists everything a certification verdict depended on, for precise
-// cache invalidation: the membership status of every atom the prover
+// cache invalidation (internal/verdictcache; no serving path uses either —
+// they stay for the benchmark module's traced build): the membership status of every atom the prover
 // resolved, and the conflict components it searched. The verdict stays
 // valid exactly while all of those are unchanged — an update that neither
 // flips a listed atom's membership nor touches a listed component cannot
@@ -84,6 +89,19 @@ type Prover struct {
 
 	deps  *depTracker
 	Stats Stats
+
+	// Scratch reused across candidates: the residual DNF's literals and
+	// disjunct spans, the tuple of a slot that a projection reorders, and
+	// the blocker search's component groups, vertex sets, blocker lists
+	// and edge remainders.
+	lits     []rlit
+	spans    []span
+	tbuf     value.Tuple
+	groups   []compGroup
+	nset     conflict.VertexSet
+	sset     conflict.VertexSet
+	blockers [][]conflict.Edge
+	rems     []conflict.Vertex
 }
 
 // New creates a prover over a conflict hypergraph with the given
@@ -104,7 +122,8 @@ func (p *Prover) IsConsistentAnswer(plan ra.Node, t value.Tuple) (bool, error) {
 
 // CertifyAnswer is IsConsistentAnswer plus dependency tracking: it also
 // returns what the verdict depended on, for the verdict cache. Tracking
-// only spans this call.
+// only spans this call. The serving path certifies with Certify instead;
+// this stays for the benchmark module's traced build.
 func (p *Prover) CertifyAnswer(plan ra.Node, t value.Tuple) (bool, Deps, error) {
 	p.deps = &depTracker{atoms: make(map[string]struct{}), comps: make(map[uint64]uint64)}
 	ok, err := p.IsConsistentAnswer(plan, t)
@@ -153,23 +172,45 @@ func (p *Prover) IsConsistent(f Formula) (bool, error) {
 // remainders stays independent and avoids all negative atoms; any maximal
 // independent extension of such an S is a witnessing repair.
 //
-// Because no hyperedge crosses a component boundary, the search factors
-// over the connected components of the resolved vertices: blockers and
-// independence checks for atoms in different components never interact,
-// so each component is searched on its own — cost exponential only in the
-// largest component, never in the whole disjunct.
+// Atoms whose status is the same in every repair reduce to constants
+// first: an absent positive atom or a present conflict-free negative one
+// refutes the disjunct, while a conflict-free positive atom or an absent
+// negative one constrains nothing. What remains is a conjunction of
+// conflicted vertices (see satisfiable).
 func (p *Prover) SatisfiableInSomeRepair(d Disjunct) (bool, error) {
-	groups, nset, live, err := p.resolveDisjunct(d)
-	if err != nil || !live {
-		return false, err
-	}
-	for i := range groups {
-		ok, err := p.solveComponent(&groups[i].compTask, nset)
-		if err != nil || !ok {
+	var lits []rlit
+	for _, a := range d.Pos {
+		v, inDB, err := p.resolve(a)
+		if err != nil || !inDB {
 			return false, err
 		}
+		if ref, ok := p.H.ComponentOf(v); ok {
+			lits = append(lits, rlit{v: v, comp: ref.ID})
+		}
 	}
-	return true, nil
+	for _, a := range d.Neg {
+		v, inDB, err := p.resolve(a)
+		if err != nil {
+			return false, err
+		}
+		if !inDB {
+			continue // absent from every repair for free
+		}
+		ref, ok := p.H.ComponentOf(v)
+		if !ok {
+			return false, nil // conflict-free tuples survive in every repair
+		}
+		lits = append(lits, rlit{v: v, comp: ref.ID, neg: true})
+	}
+	return p.satisfiable(lits)
+}
+
+// rlit is a residual literal: a conflicted vertex that the sought repair
+// must contain (neg=false) or exclude (neg=true), with its component.
+type rlit struct {
+	v    conflict.Vertex
+	comp uint64
+	neg  bool
 }
 
 // compTask is one component's share of a disjunct: the positive vertices
@@ -188,103 +229,102 @@ type compGroup struct {
 	compTask
 }
 
-// resolveDisjunct resolves every atom of d and groups the conflicting
-// vertices by component. live=false reports an early refutation: a
-// positive atom absent or conflicting with another, a negative atom that
-// is present but conflict-free (in every repair), or a vertex required
-// both in and out.
-func (p *Prover) resolveDisjunct(d Disjunct) (groups []compGroup, nset conflict.VertexSet, live bool, err error) {
-	get := func(id uint64) int {
-		for i := range groups {
-			if groups[i].id == id {
-				return i
+// satisfiable decides a conjunction of conflicted-vertex literals. A
+// vertex required both in and out refutes it; otherwise the literals are
+// grouped by component and, because no hyperedge crosses a component
+// boundary, each component is searched on its own — cost exponential only
+// in the largest component, never in the whole disjunct.
+func (p *Prover) satisfiable(lits []rlit) (bool, error) {
+	groups := p.groups[:0]
+	nset := p.nset
+	clear(nset)
+next:
+	for i, l := range lits {
+		for _, m := range lits[:i] {
+			if m.v == l.v {
+				if m.neg != l.neg {
+					return false, nil // required both in and out
+				}
+				continue next
 			}
 		}
-		groups = append(groups, compGroup{id: id})
-		return len(groups) - 1
-	}
-	var pos conflict.VertexSet
-	for _, a := range d.Pos {
-		v, inDB, err := p.resolve(a)
-		if err != nil {
-			return nil, nil, false, err
+		g := -1
+		for j := range groups {
+			if groups[j].id == l.comp {
+				g = j
+				break
+			}
 		}
-		if !inDB {
-			return nil, nil, false, nil
+		if g < 0 {
+			// Reuse a previous disjunct's group and its slices.
+			if g = len(groups); g < cap(groups) {
+				groups = groups[:g+1]
+				groups[g] = compGroup{id: l.comp, compTask: compTask{pos: groups[g].pos[:0], neg: groups[g].neg[:0]}}
+			} else {
+				groups = append(groups, compGroup{id: l.comp})
+			}
 		}
-		if pos[v] {
+		if !l.neg {
+			groups[g].pos = append(groups[g].pos, l.v)
 			continue
-		}
-		if pos == nil {
-			pos = conflict.VertexSet{}
-		}
-		pos[v] = true
-		if ref, ok := p.H.ComponentOf(v); ok {
-			i := get(ref.ID)
-			groups[i].pos = append(groups[i].pos, v)
-		}
-		// A conflict-free positive vertex is in every repair: no constraint.
-	}
-	for _, a := range d.Neg {
-		v, inDB, err := p.resolve(a)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if !inDB {
-			continue // absent from every repair for free
-		}
-		if pos[v] {
-			return nil, nil, false, nil // required both in and out
-		}
-		if nset[v] {
-			continue
-		}
-		ref, ok := p.H.ComponentOf(v)
-		if !ok {
-			return nil, nil, false, nil // conflict-free tuples survive in every repair
 		}
 		if nset == nil {
 			nset = conflict.VertexSet{}
+			p.nset = nset
 		}
-		nset[v] = true
-		i := get(ref.ID)
-		groups[i].neg = append(groups[i].neg, v)
+		nset[l.v] = true
+		groups[g].neg = append(groups[g].neg, l.v)
 	}
-	return groups, nset, true, nil
+	p.groups = groups
+	for i := range groups {
+		ok, err := p.solveComponent(&groups[i].compTask, nset)
+		if err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // solveComponent runs the positive-independence check and blocking-edge
 // search for one component's share of a disjunct.
 func (p *Prover) solveComponent(tk *compTask, nset conflict.VertexSet) (bool, error) {
 	p.Stats.Components++
-	s := conflict.VertexSet{}
+	if p.sset == nil {
+		p.sset = conflict.VertexSet{}
+	}
+	s := p.sset
+	clear(s)
 	for _, v := range tk.pos {
 		if !p.H.IndependentWith(s, v) {
 			return false, nil
 		}
 		s[v] = true
 	}
-	blockers := make([][]conflict.Edge, 0, len(tk.neg))
+	p.rems = p.rems[:0]
+	blockers := p.blockers[:0]
 	for _, v := range tk.neg {
 		blockers = append(blockers, p.blockerCandidates(v, p.H.EdgesContaining(v)))
 	}
+	p.blockers = blockers
 	// Cheapest-first ordering shrinks the search tree.
 	sortByLen(blockers)
 	return p.assignBlockers(s, nset, blockers, 0)
 }
 
 // blockerCandidates precomputes, for a negative vertex v, each candidate
-// edge's "remainder" (the edge without v).
+// edge's "remainder" (the edge without v). Remainders are carved from the
+// prover's scratch arena, which solveComponent resets per component; a
+// slice carved before the arena grows keeps its own backing array.
 func (p *Prover) blockerCandidates(v conflict.Vertex, edges []conflict.Edge) []conflict.Edge {
 	out := make([]conflict.Edge, 0, len(edges))
 	for _, e := range edges {
-		rem := make([]conflict.Vertex, 0, len(e.Verts)-1)
+		start := len(p.rems)
 		for _, u := range e.Verts {
 			if u != v {
-				rem = append(rem, u)
+				p.rems = append(p.rems, u)
 			}
 		}
-		out = append(out, conflict.Edge{Verts: rem, Label: e.Label})
+		out = append(out, conflict.Edge{Verts: p.rems[start:len(p.rems):len(p.rems)], Label: e.Label})
 	}
 	return out
 }

@@ -181,7 +181,7 @@ func TestJoinConsistency(t *testing.T) {
 	}
 }
 
-func mustPlan(t *testing.T, db *engine.DB, sql string) ra.Node {
+func mustPlan(t testing.TB, db *engine.DB, sql string) ra.Node {
 	t.Helper()
 	q, err := sqlparse.ParseQuery(sql)
 	if err != nil {

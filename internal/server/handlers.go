@@ -46,9 +46,10 @@ type runStats struct {
 	Epoch      uint64 `json:"epoch"`
 	Candidates int    `json:"candidates"`
 	Answers    int    `json:"answers"`
-	CacheHits  int64  `json:"cache_hits"`
-	CacheMiss  int64  `json:"cache_misses"`
-	TotalUS    int64  `json:"total_us"`
+	// Decided counts the candidates the prover's Kleene probe settled
+	// without a blocker search.
+	Decided int64 `json:"decided"`
+	TotalUS int64 `json:"total_us"`
 	// Strategy is the planner tier that produced the answers ("rewrite"
 	// or "prover").
 	Strategy string `json:"strategy,omitempty"`
@@ -85,6 +86,10 @@ type statsResponse struct {
 	// Lifetime counts of consistent queries answered per planner tier.
 	TierRewrite int64 `json:"tier_rewrite"`
 	TierProver  int64 `json:"tier_prover"`
+	// Lifetime prover-tier candidates, and those the Kleene probe settled
+	// without a blocker search.
+	Certified int64 `json:"certified"`
+	Decided   int64 `json:"decided"`
 	// Maintenance plane: delta-queue overflows and the parked checkpoint
 	// error (empty when healthy; /health reports "degraded" while it is
 	// set).
@@ -416,6 +421,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	tc := s.db.TierCounts()
 	resp.TierRewrite, resp.TierProver = tc.Rewrite, tc.Prover
+	resp.Certified, resp.Decided = tc.Certified, tc.Decided
 	if resp.Durable {
 		resp.WALBytes = sys.WALBytes()
 	}
@@ -483,8 +489,7 @@ func wireStats(st *hippo.Stats) *runStats {
 		Epoch:      st.Epoch,
 		Candidates: st.Candidates,
 		Answers:    st.Answers,
-		CacheHits:  st.CacheHits,
-		CacheMiss:  st.CacheMisses,
+		Decided:    st.ProverStats.Decided,
 		TotalUS:    st.Total.Microseconds(),
 		Strategy:   st.Strategy,
 	}

@@ -145,8 +145,8 @@ func TestServerStressPrefixConsistency(t *testing.T) {
 		}
 	}()
 
-	// Consistent-query readers. Odd readers pin the prover tier, so the
-	// verdict cache and its invalidation race with the writer; even
+	// Consistent-query readers. Odd readers pin the prover tier, so
+	// certification races with the writer's view publications; even
 	// readers take the tier the classifier picks for a key FD, the
 	// rewrite tier.
 	const cqReaders = 4

@@ -1,5 +1,9 @@
 // Package verdictcache memoizes certification verdicts across published
-// query views. A verdict — "candidate tuple t is (not) a consistent
+// query views. No serving path uses it: the core certifies every candidate
+// against its own view with the compiled probe (prover.Compile), which
+// left nothing worth memoizing. The package stays only because the
+// benchmark module's traced build still times it; it goes with the next
+// change to that module (ROADMAP item 10). A verdict — "candidate tuple t is (not) a consistent
 // answer to query Q" — is a pure function of the query plan, the
 // membership status of the atoms the prover resolved, and the exact edge
 // sets of the conflict components it searched (prover.Deps). The cache
