@@ -117,13 +117,11 @@ type Stats struct {
 	ViewsPublished int64  `json:"views_published"`
 	ViewsReclaimed int64  `json:"views_reclaimed"`
 	SlabsReclaimed int64  `json:"slabs_reclaimed"`
-	// Lifetime counts of consistent queries per planner tier, prover-tier
-	// candidates, and those the Kleene probe settled without a search.
-	TierRewrite int64  `json:"tier_rewrite"`
-	TierProver  int64  `json:"tier_prover"`
-	Certified   int64  `json:"certified"`
-	Decided     int64  `json:"decided"`
-	Version     string `json:"version"`
+	// Lifetime prover-tier candidates, and those the Kleene probe settled
+	// without a search.
+	Certified int64  `json:"certified"`
+	Decided   int64  `json:"decided"`
+	Version   string `json:"version"`
 }
 
 // QueryOpts tune one query call.
