@@ -14,7 +14,7 @@
 //	\cqp <select>               consistent answers pinned to the prover tier
 //	\cqr <select>               consistent answers, rewrite tier required (errors if ineligible)
 //	\rw <select>                consistent answers via query rewriting
-//	\maint                      maintenance stats (deltas, rebuilds, views, tier and probe counts)
+//	\maint                      maintenance stats (deltas, rebuilds, views, tier and decided counts)
 //	\repairs                    count repairs (small instances only)
 //	\load <file.sql>            execute semicolon-separated statements from a file
 //	\batch <file.sql>           group-commit a file: DML runs apply atomically
@@ -338,7 +338,7 @@ const helpText = `  SQL statements run directly (CREATE TABLE / INSERT / DELETE 
   \cqp <select>               consistent answers pinned to the prover tier
   \cqr <select>               consistent answers, rewrite tier required (errors if ineligible)
   \rw <select>                consistent answers via query rewriting
-  \maint                      maintenance stats (deltas, rebuilds, views, tier and probe counts)
+  \maint                      maintenance stats (deltas, rebuilds, views, tier and decided counts)
   \repairs                    count repairs (exponential; small data only)
   \load <file.sql>            run statements from a file
   \batch <file.sql>           group-commit a file (DML runs apply atomically)

@@ -72,7 +72,7 @@ func TestVerdictCacheMembershipInvalidation(t *testing.T) {
 		t.Fatalf("after insert into s: answers=%d, want 0 (stale verdict served)", len(res.Rows))
 	}
 	if st.ProverStats.Decided != 1 {
-		t.Fatalf("decided=%d, want 1: both atoms are conflict-free, the probe settles it", st.ProverStats.Decided)
+		t.Fatalf("decided=%d, want 1: both atoms are conflict-free, the residual is constant", st.ProverStats.Decided)
 	}
 }
 

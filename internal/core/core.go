@@ -810,10 +810,15 @@ func firstCertErr(evalErr error, errs []error) error {
 	return first
 }
 
-// certBatchSize is how many candidates the producer hands a worker at
-// once: large enough that the channel send and the batch allocation
-// vanish per candidate, small enough that both workers start early.
-const certBatchSize = 256
+// certBatchMin and certBatchMax bound how many candidates the producer
+// hands a worker at once. Batches start small, so a query with a few
+// hundred candidates still reaches every worker while the envelope is
+// being evaluated, and double up to the maximum, where the channel send
+// and the batch allocation vanish per candidate.
+const (
+	certBatchMin = 16
+	certBatchMax = 256
+)
 
 // certBatch is one hand-off of the streaming pipeline. The producer fills
 // rows, exactly one worker writes keep, and the producer reads keep after
@@ -828,11 +833,12 @@ type certBatch struct {
 // envelope evaluation and the prover overlap instead of running in
 // sequence. The plan is compiled once (prover.Compile); each worker
 // certifies whole batches with its own prover, so a candidate costs one
-// Kleene probe and, only when a conflicted tuple leaves it undecided, a
-// blocker search. Worker errors cancel the iterator tree via context, and
-// the pipeline's context descends from the caller's, so an outside
-// deadline or cancellation kills evaluation and certification together;
-// answers keep candidate production order, matching the sequential run.
+// lookup per atom and, only when conflicted tuples leave its residual
+// open, a blocker search. Worker errors cancel the iterator tree via
+// context, and the pipeline's context descends from the caller's, so an
+// outside deadline or cancellation kills evaluation and certification
+// together (workers check it between candidates); answers keep candidate
+// production order, matching the sequential run.
 func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env ra.Node, stats *Stats) (*engine.Result, error) {
 	t0 := time.Now()
 	tpl, err := prover.Compile(plan)
@@ -863,17 +869,25 @@ func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env r
 		wg.Add(1)
 		go func(w int, p *prover.Prover) {
 			defer wg.Done()
-			for b := range queue {
+			done := ctx.Done()
+			stopped := func() bool {
 				if failed.Load() {
-					continue // drain so the producer never blocks
+					return true
 				}
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
+				select {
+				case <-done:
+					errs[w] = ctx.Err()
 					failed.Store(true)
-					continue
+					return true
+				default:
+					return false
 				}
+			}
+			// After a failure the loop keeps draining the queue, so the
+			// producer never blocks.
+			for b := range queue {
 				for i, row := range b.rows {
-					if failed.Load() {
+					if stopped() {
 						break
 					}
 					ok, err := p.Certify(tpl, row)
@@ -897,7 +911,7 @@ func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env r
 			cur = nil
 		}
 	}
-	candidates := 0
+	candidates, size := 0, certBatchMin
 	it, err := v.snap.OpenPlan(ctx, phys)
 	var evalErr error
 	if err != nil {
@@ -913,13 +927,14 @@ func (s *System) certifyStreaming(ctx context.Context, v *queryView, plan, env r
 				break
 			}
 			if cur == nil {
-				cur = &certBatch{rows: make([]value.Tuple, 0, certBatchSize), keep: make([]bool, certBatchSize)}
+				cur = &certBatch{rows: make([]value.Tuple, 0, size), keep: make([]bool, size)}
 				batches = append(batches, cur)
 			}
 			cur.rows = append(cur.rows, row)
 			candidates++
-			if len(cur.rows) == certBatchSize {
+			if len(cur.rows) == size {
 				flush()
+				size = min(2*size, certBatchMax)
 			}
 		}
 		if cerr := it.Close(); cerr != nil && evalErr == nil {

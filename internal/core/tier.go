@@ -51,7 +51,7 @@ type TierCounters struct {
 	// TierCounters keep compiling.
 	Fallbacks int64
 	// Certified counts the prover tier's candidates; Decided counts those
-	// the Kleene probe settled without a blocker search.
+	// settled without a blocker search (a constant residual).
 	Certified int64
 	Decided   int64
 }

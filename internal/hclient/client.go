@@ -95,8 +95,8 @@ type RunStats struct {
 	Epoch      uint64 `json:"epoch"`
 	Candidates int    `json:"candidates"`
 	Answers    int    `json:"answers"`
-	// Decided counts the candidates the prover's Kleene probe settled
-	// without a blocker search.
+	// Decided counts the candidates the prover settled without a
+	// blocker search (a constant residual).
 	Decided int64 `json:"decided"`
 	TotalUS int64 `json:"total_us"`
 	// Strategy is the planner tier that produced the answers ("rewrite"
@@ -117,8 +117,8 @@ type Stats struct {
 	ViewsPublished int64  `json:"views_published"`
 	ViewsReclaimed int64  `json:"views_reclaimed"`
 	SlabsReclaimed int64  `json:"slabs_reclaimed"`
-	// Lifetime prover-tier candidates, and those the Kleene probe settled
-	// without a search.
+	// Lifetime prover-tier candidates, and those settled without a
+	// search.
 	Certified int64  `json:"certified"`
 	Decided   int64  `json:"decided"`
 	Version   string `json:"version"`

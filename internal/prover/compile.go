@@ -18,45 +18,14 @@ import (
 // tuple — and whose selection, join and duplicated-projection conditions
 // are predicates over the candidate itself.
 //
-// Per candidate, each slot resolves through one membership lookup to a
-// Kleene value: True when the tuple is present and in no hyperedge (it is
-// in every repair), False when it is absent (in no repair), Unknown when
-// it is conflicted. Decide evaluates the template in three-valued logic; a
-// definite result holds in every repair and is the verdict. Only an
-// Unknown result needs the blocker search, which Certify runs over the
-// template's residual: the DNF of the negated template with every known
-// atom and predicate replaced by its constant, so its literals are
-// conflicted vertices only.
-
-// Truth is a Kleene truth value. The order False < Unknown < True makes
-// conjunction the minimum, disjunction the maximum and negation 2-x.
-type Truth uint8
-
-// The three Kleene truth values.
-const (
-	False Truth = iota
-	Unknown
-	True
-)
-
-// String renders the truth value.
-func (v Truth) String() string {
-	switch v {
-	case False:
-		return "false"
-	case True:
-		return "true"
-	default:
-		return "unknown"
-	}
-}
-
-func truthOf(b bool) Truth {
-	if b {
-		return True
-	}
-	return False
-}
+// Per candidate, each slot resolves through one membership lookup: a
+// tuple that is present and in no hyperedge is in every repair, one that
+// is absent is in none, and only a conflicted tuple stays a literal.
+// Certify folds the known atoms and the predicates to constants while it
+// builds the DNF of the negated template, short-circuiting as Kleene's
+// three-valued logic does. A residual without literals is the same in
+// every repair and is the verdict; otherwise its literals are conflicted
+// vertices only, and the blocker search decides it.
 
 // tkind tags a template node.
 type tkind uint8
@@ -265,9 +234,11 @@ func (n *tnode) holds(t value.Tuple) (bool, error) {
 	return ra.EvalPredicate(n.pred, t)
 }
 
-// resolveSlot looks up slot s's tuple in the candidate: its Kleene value,
-// and for a conflicted tuple the vertex and its component.
-func (p *Prover) resolveSlot(tpl *Template, s int, t value.Tuple) (Truth, rlit, error) {
+// resolveSlot looks up slot s's tuple in the candidate. A present tuple
+// in no hyperedge (in every repair) or an absent one (in none) is known,
+// with in saying which; a conflicted tuple comes back as its vertex and
+// component.
+func (p *Prover) resolveSlot(tpl *Template, s int, t value.Tuple) (l rlit, known, in bool, err error) {
 	sl := &tpl.slots[s]
 	var tup value.Tuple
 	if sl.contig {
@@ -284,92 +255,41 @@ func (p *Prover) resolveSlot(tpl *Template, s int, t value.Tuple) (Truth, rlit, 
 	p.Stats.MembershipChecks++
 	ids, err := p.Member.Lookup(sl.rel, tup)
 	if err != nil || len(ids) == 0 {
-		return False, rlit{}, err
+		return rlit{}, true, false, err
 	}
 	// Set semantics: identical duplicate rows share one logical tuple,
 	// represented by its first occurrence (as in resolve).
 	v := conflict.Vertex{Rel: sl.rel, Row: ids[0]}
 	ref, conflicted := p.H.ComponentOf(v)
 	if !conflicted {
-		return True, rlit{}, nil
+		return rlit{}, true, true, nil
 	}
-	return Unknown, rlit{v: v, comp: ref.ID}, nil
+	return rlit{v: v, comp: ref.ID}, false, false, nil
 }
 
-// Decide evaluates the template for candidate t in Kleene logic, looking
-// up each slot it needs once. True and False hold in every repair and are
-// the verdict; Unknown means some conflicted tuple decides it. Decide
-// allocates nothing.
-func (p *Prover) Decide(tpl *Template, t value.Tuple) (Truth, error) {
-	if len(t) != tpl.arity {
-		return False, fmt.Errorf("prover: tuple arity %d does not match plan arity %d", len(t), tpl.arity)
-	}
-	return p.kleene(tpl, tpl.root, t)
-}
-
-func (p *Prover) kleene(tpl *Template, i int32, t value.Tuple) (Truth, error) {
-	n := &tpl.nodes[i]
-	switch n.kind {
-	case tAtom:
-		v, _, err := p.resolveSlot(tpl, n.slot, t)
-		return v, err
-	case tPred, tEq:
-		ok, err := n.holds(t)
-		return truthOf(ok), err
-	case tNot:
-		v, err := p.kleene(tpl, n.kids[0], t)
-		return True - v, err
-	case tAnd:
-		out := True
-		for _, k := range n.kids {
-			v, err := p.kleene(tpl, k, t)
-			if err != nil || v == False {
-				return False, err
-			}
-			out = min(out, v)
-		}
-		return out, nil
-	default: // tOr
-		out := False
-		for _, k := range n.kids {
-			v, err := p.kleene(tpl, k, t)
-			if err != nil {
-				return False, err
-			}
-			if v == True {
-				return True, nil
-			}
-			out = max(out, v)
-		}
-		return out, nil
-	}
-}
-
-// Certify reports whether candidate t is a consistent answer: the Kleene
-// probe's verdict when it is definite, the residual search otherwise.
+// Certify reports whether candidate t is a consistent answer. It builds
+// the residual DNF of the negated template; no disjunct means the
+// candidate holds in every repair, one empty disjunct that it holds in
+// none, and either counts as Decided. Any other residual goes to the
+// blocker search: t is consistent iff no disjunct is satisfiable in some
+// repair. A conflict-free candidate allocates nothing once the prover's
+// scratch has grown.
 func (p *Prover) Certify(tpl *Template, t value.Tuple) (bool, error) {
-	p.Stats.TuplesChecked++
-	v, err := p.Decide(tpl, t)
-	if err != nil || v != Unknown {
-		if err == nil {
-			p.Stats.Decided++
-		}
-		return v == True, err
+	if len(t) != tpl.arity {
+		return false, fmt.Errorf("prover: tuple arity %d does not match plan arity %d", len(t), tpl.arity)
 	}
-	return p.searchResidual(tpl, t)
-}
-
-// searchResidual builds the DNF of the negated template over conflicted
-// vertices — known atoms and predicates fold to constants — and reports t
-// consistent iff no disjunct is satisfiable in some repair. It does not
-// consult the Kleene probe, so tests check the probe against it.
-func (p *Prover) searchResidual(tpl *Template, t value.Tuple) (bool, error) {
+	p.Stats.TuplesChecked++
 	p.lits, p.spans = p.lits[:0], p.spans[:0]
 	lo, hi, err := p.dnf(tpl, tpl.root, true, t)
 	if err != nil {
 		return false, err
 	}
-	for _, d := range p.spans[lo:hi] {
+	ds := p.spans[lo:hi]
+	if len(ds) == 0 || len(ds) == 1 && ds[0].n == 0 {
+		p.Stats.Decided++
+		return len(ds) == 0, nil
+	}
+	for _, d := range ds {
 		p.Stats.Disjuncts++
 		sat, err := p.satisfiable(p.lits[d.off : d.off+d.n])
 		if err != nil || sat {
@@ -383,9 +303,10 @@ func (p *Prover) searchResidual(tpl *Template, t value.Tuple) (bool, error) {
 type span struct{ off, n int }
 
 // dnf appends the disjuncts of node i (negated when neg) to p.spans and
-// returns their range. A constant true is one empty disjunct, a constant
-// false none. Literal runs are appended to p.lits and never moved, so a
-// span stays valid while later spans are built.
+// returns their range, which starts at the length of p.spans on entry and
+// ends at its length on return. A constant true is one empty disjunct, a
+// constant false none. Literal runs are appended to p.lits and never
+// moved, so a span stays valid while later spans are built.
 func (p *Prover) dnf(tpl *Template, i int32, neg bool, t value.Tuple) (lo, hi int, err error) {
 	n := &tpl.nodes[i]
 	lo = len(p.spans)
@@ -398,12 +319,12 @@ func (p *Prover) dnf(tpl *Template, i int32, neg bool, t value.Tuple) (lo, hi in
 	}
 	switch n.kind {
 	case tAtom:
-		v, l, err := p.resolveSlot(tpl, n.slot, t)
+		l, known, in, err := p.resolveSlot(tpl, n.slot, t)
 		if err != nil {
 			return lo, lo, err
 		}
-		if v != Unknown {
-			return constant(v == True)
+		if known {
+			return constant(in)
 		}
 		l.neg = neg
 		p.spans = append(p.spans, span{off: len(p.lits), n: 1})
@@ -440,10 +361,7 @@ func (p *Prover) dnfUnion(tpl *Template, kids []int32, neg bool, t value.Tuple) 
 				return lo, lo + 1, nil
 			}
 		}
-		// Move the operand's disjuncts down over whatever scratch spans
-		// its own products left between them and the collected ones.
-		end += copy(p.spans[end:], p.spans[clo:chi])
-		p.spans = p.spans[:end]
+		end = chi
 	}
 	return lo, end, nil
 }

@@ -25,8 +25,8 @@ var agreementQueries = []string{
 	"SELECT * FROM r EXCEPT SELECT * FROM s",
 	"SELECT * FROM r EXCEPT SELECT * FROM r WHERE b = 0",
 	"SELECT * FROM r INTERSECT SELECT * FROM s",
-	// (r − s) ∪ s is r ∪ s: Kleene leaves a clean r tuple unknown when its
-	// s twin is conflicted, and only the residual's v ∧ ¬v clash settles it.
+	// (r − s) ∪ s is r ∪ s: a clean r tuple whose s twin is conflicted
+	// leaves the residual v ∧ ¬v, which only the search settles.
 	"SELECT * FROM r EXCEPT SELECT * FROM s UNION SELECT * FROM s",
 	"SELECT * FROM r, s",
 	"SELECT * FROM r, s WHERE r.a = s.a",
@@ -79,15 +79,15 @@ func agreementInstance(t testing.TB, rng *rand.Rand) (*engine.DB, *conflict.Hype
 }
 
 // agreementCounts tallies how candidates were settled, so the test can
-// insist that both the probe and the search were exercised.
-type agreementCounts struct{ decided, unknown int }
+// insist that both the constant residual and the search were exercised.
+type agreementCounts struct{ decided, searched int64 }
 
-// checkAgreement decides every candidate of every agreement query three
-// ways — the Kleene probe, the compiled residual search, and the formula
-// prover (IsConsistentAnswer) — and fails on any disagreement: every
-// definite probe verdict, every residual-search verdict and every Certify
-// verdict must equal the formula prover's. Candidates are the envelope's
-// rows plus random tuples over the instance's domain.
+// checkAgreement certifies every candidate of every agreement query on the
+// compiled template and checks the verdict against the formula prover
+// (IsConsistentAnswer), which builds the ground formula and its negation
+// DNF afresh: a verdict the folded residual settles alone and one the
+// blocker search settles must both equal it. Candidates are the
+// envelope's rows plus random tuples over the instance's domain.
 func checkAgreement(t testing.TB, seed int64) agreementCounts {
 	rng := rand.New(rand.NewSource(seed))
 	db, h, ti := agreementInstance(t, rng)
@@ -116,27 +116,20 @@ func checkAgreement(t testing.TB, seed int64) agreementCounts {
 			if err != nil {
 				t.Fatalf("%q %v: formula prover: %v", sql, c, err)
 			}
-			v, err := p.Decide(tpl, c)
+			before := p.Stats.Decided
+			got, err := p.Certify(tpl, c)
 			if err != nil {
-				t.Fatalf("%q %v: decide: %v", sql, c, err)
+				t.Fatalf("%q %v: certify: %v", sql, c, err)
 			}
-			if v == Unknown {
-				counts.unknown++
-			} else {
+			how := "search"
+			if p.Stats.Decided > before {
+				how = "constant residual"
 				counts.decided++
-				if (v == True) != want {
-					t.Fatalf("seed %d %q %v: probe says %s, formula prover %v", seed, sql, c, v, want)
-				}
-			}
-			got, err := p.searchResidual(tpl, c)
-			if err != nil {
-				t.Fatalf("%q %v: residual search: %v", sql, c, err)
+			} else {
+				counts.searched++
 			}
 			if got != want {
-				t.Fatalf("seed %d %q %v: residual search %v, formula prover %v (probe %s)", seed, sql, c, got, want, v)
-			}
-			if got, err := p.Certify(tpl, c); err != nil || got != want {
-				t.Fatalf("seed %d %q %v: certify %v (%v), formula prover %v", seed, sql, c, got, err, want)
+				t.Fatalf("seed %d %q %v: certify (%s) says %v, formula prover %v", seed, sql, c, how, got, want)
 			}
 		}
 	}
@@ -156,34 +149,34 @@ func randomTuple(rng *rand.Rand, plan ra.Node) value.Tuple {
 	return t
 }
 
-// TestDecideAgreesWithSearch is the seeded agreement property over 150
-// random instances.
-func TestDecideAgreesWithSearch(t *testing.T) {
+// TestCertifyAgreesWithFormulaProver is the seeded agreement property over
+// 150 random instances.
+func TestCertifyAgreesWithFormulaProver(t *testing.T) {
 	var total agreementCounts
 	for seed := int64(1); seed <= 150; seed++ {
 		c := checkAgreement(t, seed)
 		total.decided += c.decided
-		total.unknown += c.unknown
+		total.searched += c.searched
 	}
-	if total.decided == 0 || total.unknown == 0 {
-		t.Fatalf("probe settled %d candidates and left %d to the search; both paths must be exercised",
-			total.decided, total.unknown)
+	if total.decided == 0 || total.searched == 0 {
+		t.Fatalf("the residual settled %d candidates alone and left %d to the search; both paths must be exercised",
+			total.decided, total.searched)
 	}
-	t.Logf("probe decided %d candidates, search settled %d", total.decided, total.unknown)
+	t.Logf("constant residual decided %d candidates, search settled %d", total.decided, total.searched)
 }
 
-// FuzzDecideAgrees runs the agreement property on fuzzer-chosen seeds.
-func FuzzDecideAgrees(f *testing.F) {
+// FuzzCertifyAgrees runs the agreement property on fuzzer-chosen seeds.
+func FuzzCertifyAgrees(f *testing.F) {
 	for _, s := range []int64{1, 7, 42, 1 << 20} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) { checkAgreement(t, seed) })
 }
 
-// TestDecideConflictFreeAllocatesNothing pins the probe's hot path: a
+// TestCertifyConflictFreeAllocatesNothing pins the hot path: a
 // conflict-free candidate of a union, a difference, a join and a
-// reordering projection is decided without a single allocation.
-func TestDecideConflictFreeAllocatesNothing(t *testing.T) {
+// reordering projection is certified without a single allocation.
+func TestCertifyConflictFreeAllocatesNothing(t *testing.T) {
 	db := engine.New()
 	mustExec(db, "CREATE TABLE emp (id INT, salary INT)")
 	mustExec(db, "INSERT INTO emp VALUES (1, 100), (1, 200), (2, 150)")
@@ -208,17 +201,19 @@ func TestDecideConflictFreeAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v, err := p.Decide(tpl, tc.cand); err != nil || v != True {
-			t.Fatalf("%q: Decide = %s, %v; want true", tc.sql, v, err)
+		before := p.Stats.Decided
+		if ok, err := p.Certify(tpl, tc.cand); err != nil || !ok || p.Stats.Decided != before+1 {
+			t.Fatalf("%q: Certify = %v, %v, decided +%d; want a decided true", tc.sql, ok, err, p.Stats.Decided-before)
 		}
-		if n := testing.AllocsPerRun(100, func() { _, _ = p.Decide(tpl, tc.cand) }); n != 0 {
-			t.Errorf("%q: Decide allocated %.1f times per candidate, want 0", tc.sql, n)
+		if n := testing.AllocsPerRun(100, func() { _, _ = p.Certify(tpl, tc.cand) }); n != 0 {
+			t.Errorf("%q: Certify allocated %.1f times per candidate, want 0", tc.sql, n)
 		}
 	}
 }
 
-// TestCertifyCountsDecided: the probe settles conflict-free candidates and
-// leaves conflicted ones to the search, and Stats says which.
+// TestCertifyCountsDecided: a conflict-free or absent candidate folds to a
+// constant residual, a conflicted one goes to the search, and Stats says
+// which.
 func TestCertifyCountsDecided(t *testing.T) {
 	db, h, ti := setup(t)
 	p := New(h, IndexedMembership{TI: ti})

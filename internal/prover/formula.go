@@ -11,10 +11,10 @@
 // hypergraph (see Prover.IsConsistent).
 //
 // The serving path never builds that formula per candidate: Compile turns
-// the plan once into a Template, Prover.Decide settles a candidate by a
-// three-valued probe of its atoms, and only an undecided candidate runs
-// the blocking-edge search, over the template's residual (see
-// compile.go). BuildFormula and IsConsistentAnswer remain as the
+// the plan once into a Template, and Prover.Certify folds each
+// candidate's known atoms into the template's residual DNF; only a
+// residual left with conflicted literals runs the blocking-edge search
+// (see compile.go). BuildFormula and IsConsistentAnswer remain as the
 // reference the compiled path is tested against and for E6's baselines.
 package prover
 

@@ -39,8 +39,9 @@ type Stats struct {
 	BlockerChoices   int64 // blocking-edge assignments explored
 	Pruned           int64 // DFS branches cut by early independence checks
 	Components       int64 // per-component sub-searches solved
-	// Decided counts the candidates the Kleene probe settled without a
-	// blocker search (see Certify); TuplesChecked - Decided were searched.
+	// Decided counts the candidates whose residual folded to a constant,
+	// settled without a blocker search (see Certify); TuplesChecked -
+	// Decided were searched.
 	Decided int64
 }
 

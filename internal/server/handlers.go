@@ -46,8 +46,8 @@ type runStats struct {
 	Epoch      uint64 `json:"epoch"`
 	Candidates int    `json:"candidates"`
 	Answers    int    `json:"answers"`
-	// Decided counts the candidates the prover's Kleene probe settled
-	// without a blocker search.
+	// Decided counts the candidates the prover settled without a
+	// blocker search (a constant residual).
 	Decided int64 `json:"decided"`
 	TotalUS int64 `json:"total_us"`
 	// Strategy is the planner tier that produced the answers ("rewrite"
@@ -86,8 +86,8 @@ type statsResponse struct {
 	// Lifetime counts of consistent queries answered per planner tier.
 	TierRewrite int64 `json:"tier_rewrite"`
 	TierProver  int64 `json:"tier_prover"`
-	// Lifetime prover-tier candidates, and those the Kleene probe settled
-	// without a blocker search.
+	// Lifetime prover-tier candidates, and those settled without a
+	// blocker search.
 	Certified int64 `json:"certified"`
 	Decided   int64 `json:"decided"`
 	// Maintenance plane: delta-queue overflows and the parked checkpoint

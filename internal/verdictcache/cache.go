@@ -1,6 +1,6 @@
 // Package verdictcache memoizes certification verdicts across published
 // query views. No serving path uses it: the core certifies every candidate
-// against its own view with the compiled probe (prover.Compile), which
+// against its own view with the compiled template (prover.Compile), which
 // left nothing worth memoizing. The package stays only because the
 // benchmark module's traced build still times it; it goes with the next
 // change to that module (ROADMAP item 10). A verdict — "candidate tuple t is (not) a consistent
